@@ -502,13 +502,14 @@ BenchRow benchLivePool(double simTime) {
   pool.start();
 
   metrics::WallTimer timer;
-  reactor.addTimer(0.02, 0.02, [&] {
+  const live::Reactor::TimerHandle stop = reactor.addTimer(0.02, 0.02, [&] {
     if (pool.modelNow() >= cfg.simTime) {
       pool.shutdown();
       reactor.stop();
     }
   });
   reactor.run();
+  (void)reactor.cancelTimer(stop);
   const double wall = timer.seconds();
 
   const live::ServerStats& ss = server.stats();

@@ -14,6 +14,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "core/adaptive_client.hpp"
 #include "core/check.hpp"
 #include "core/scheme_factory.hpp"
 
@@ -407,15 +408,10 @@ void ClientAgent::onWelcome(Link& link, const wire::Welcome& w) {
   }
 
   link.clientId = w.clientId;
-  // The host's cache splits evenly across its per-shard partitions (the
-  // hash map spreads items uniformly, so equal shares match the load).
-  const std::uint32_t shards = map.shardCount();
-  std::uint32_t share = w.cacheCapacity / shards +
-                        (link.shard < w.cacheCapacity % shards ? 1 : 0);
-  share = std::max<std::uint32_t>(share, 1);
   link.ctx = std::make_unique<schemes::ClientContext>(
-      link.clientId, share, pool_.sizes_, pool_.holderSim_,
-      pool_.collector_.get(), pool_.agentCfg_.replacement);
+      link.clientId, cacheShare(w.cacheCapacity, map.shardCount(), link.shard),
+      pool_.sizes_, pool_.holderSim_, pool_.collector_.get(),
+      pool_.agentCfg_.replacement);
   link.scheme = core::makeClientScheme(pool_.agentCfg_, pool_.sigTable_.get(),
                                        pool_.sigInitial_);
 
@@ -423,24 +419,15 @@ void ClientAgent::onWelcome(Link& link, const wire::Welcome& w) {
   // pendingMigrate_; adopt the ones this partition owns. They enter as
   // suspects as of the pre-flip consistency point and run the ordinary
   // gap/salvage cycle before any of them can answer a query.
-  if (!pendingMigrate_.empty()) {
-    bool adopted = false;
-    std::size_t keep = 0;
-    for (std::size_t i = 0; i < pendingMigrate_.size(); ++i) {
-      cache::Entry e = pendingMigrate_[i];
-      if (map.shardOf(e.item) == link.shard) {
-        e.suspect = true;
-        link.ctx->cache().insert(e);
-        adopted = true;
-      } else {
-        pendingMigrate_[keep++] = e;
-      }
+  const auto mine = std::stable_partition(
+      pendingMigrate_.begin(), pendingMigrate_.end(),
+      [&](const cache::Entry& e) { return map.shardOf(e.item) != link.shard; });
+  if (mine != pendingMigrate_.end()) {
+    for (auto it = mine; it != pendingMigrate_.end(); ++it) {
+      link.ctx->cache().insert(*it);
     }
-    pendingMigrate_.resize(keep);
-    if (adopted) {
-      link.ctx->markAllSuspect(pendingMigrateAsOf_);
-      link.ctx->restartGapCycle();
-    }
+    pendingMigrate_.erase(mine, pendingMigrate_.end());
+    core::adaptive::adoptAtAnchor(*link.ctx, pendingMigrateAsOf_);
   }
 
   ++welcomedLinks_;
@@ -484,20 +471,10 @@ void ClientAgent::onDataItem(Link& link, const wire::DataItem& d) {
   if (link.scheme == nullptr) return;
   pool_.advanceModelTime(d.readTime);
   pool_.collector_->onClientRx(pool_.sizes_.dataItemBits());
-  // Cache the copy only if it is no older than the shard's consistency
-  // point. The TCP reply and the UDP report stream are unordered: a report
-  // processed between the fetch and this reply may have listed an update
-  // for the item while it was still absent (a no-op invalidation), so a
-  // copy read before lastHeard cannot be trusted — drop it and let the
-  // next query miss again.
-  if (d.readTime >= link.ctx->lastHeard()) {
-    cache::Entry entry;
-    entry.item = d.item;
-    entry.version = d.version;
-    entry.refTime = d.readTime;
-    entry.suspect = false;
-    link.ctx->cache().insert(entry);
-  }
+  // A copy older than the shard's consistency point is dropped (the
+  // shared late-copy rule); the next query simply misses again.
+  (void)core::adaptive::acceptFetchedCopy(*link.ctx, d.item, d.version,
+                                          d.readTime, d.readTime);
 
   auto it = std::find(link.fetch.begin(), link.fetch.end(), d.item);
   if (it != link.fetch.end()) link.fetch.erase(it);
@@ -756,16 +733,17 @@ void ClientAgent::applyShardMap(const ShardMap& map) {
   if (map.version() <= mapVersion_) return;
   mapVersion_ = map.version();
 
-  // The pre-flip consistency point: the oldest per-partition lastHeard
-  // bounds every update a migrated copy could have missed on its old
-  // owner's report stream. Migrated entries become suspect as of this
-  // time, so the salvage/gap machinery treats the epoch switch exactly
-  // like a doze that started at preTlb.
-  sim::SimTime preTlb = sim::kTimeInfinity;
-  for (const auto& l : links_) {
-    if (l && l->ctx) preTlb = std::min(preTlb, l->ctx->lastHeard());
-  }
-  if (preTlb == sim::kTimeInfinity) preTlb = sim::kTimeEpoch;
+  // The pre-flip anchor bounds every update a migrated copy could have
+  // missed on its old owner's report stream. Migrated entries become
+  // suspect as of it, so the salvage/gap machinery treats the epoch switch
+  // exactly like a doze that started at preTlb. It already folds in every
+  // open gap's suspectAsOf, so no destination's anchor is raised.
+  const sim::SimTime preTlb =
+      core::adaptive::preFlipAnchor<sim::SimTime>([&](auto&& visit) {
+        for (const auto& l : links_) {
+          if (l && l->ctx) visit(*l->ctx);
+        }
+      });
 
   // Re-key the links by endpoint identity: a surviving daemon keeps its
   // connection (and cache partition) even if its shard index changed;
@@ -811,17 +789,6 @@ void ClientAgent::applyShardMap(const ShardMap& map) {
     if (links_[s]->tcpFd < 0) return;  // hello failed; dropAgent() ran
   }
 
-  // Destination gap anchors must be computed before any insertion:
-  // markAllSuspect overwrites suspectAsOf, and if a partition already has
-  // an active gap we must keep its (older) anchor rather than raise it.
-  std::vector<sim::SimTime> dstAsOf(map.shardCount(), preTlb);
-  for (std::uint32_t s = 0; s < map.shardCount(); ++s) {
-    const Link& l = *links_[s];
-    if (l.ctx && l.ctx->cache().suspectCount() > 0) {
-      dstAsOf[s] = std::min(dstAsOf[s], l.ctx->suspectAsOf());
-    }
-  }
-
   // Migrate cached copies whose owner changed. Two passes per source cache
   // (forEach forbids mutation): collect movers, then erase them.
   std::vector<cache::Entry> moved;
@@ -858,9 +825,7 @@ void ClientAgent::applyShardMap(const ShardMap& map) {
     }
   }
   for (std::uint32_t s = 0; s < map.shardCount(); ++s) {
-    if (!touched[s]) continue;
-    links_[s]->ctx->markAllSuspect(dstAsOf[s]);
-    links_[s]->ctx->restartGapCycle();
+    if (touched[s]) core::adaptive::adoptAtAnchor(*links_[s]->ctx, preTlb);
   }
 
   // Drained links close once no query leg is in flight on them; mid-query
@@ -889,6 +854,24 @@ void ClientAgent::closeDrainingLinks() {
 }
 
 // --- ClientPool --------------------------------------------------------
+
+core::SimConfig welcomedConfig(const core::SimConfig& local,
+                               const wire::Welcome& w) {
+  core::SimConfig cfg = local;
+  cfg.scheme = static_cast<schemes::SchemeKind>(w.scheme);
+  cfg.dbSize = w.dbSize;
+  cfg.numClients = w.numClients;
+  cfg.broadcastPeriod = w.broadcastPeriod;
+  cfg.windowIntervals = w.windowIntervals;
+  cfg.timestampBits = w.timestampBits;
+  cfg.dataItemBytes = w.dataItemBytes;
+  cfg.controlMessageBytes = w.controlMessageBytes;
+  cfg.sigSubsets = w.sigSubsets;
+  cfg.sigPerItem = w.sigPerItem;
+  cfg.sigVotes = w.sigVotes;
+  cfg.gcoreGroupSize = w.gcoreGroupSize;
+  return cfg;
+}
 
 ClientPool::ClientPool(Reactor& reactor, AgentOptions options)
     : reactor_(reactor),
@@ -939,19 +922,7 @@ void ClientPool::ensureConfigured(const wire::Welcome& w) {
   if (configured_) return;
   configured_ = true;
 
-  agentCfg_ = opts_.cfg;
-  agentCfg_.scheme = static_cast<schemes::SchemeKind>(w.scheme);
-  agentCfg_.dbSize = w.dbSize;
-  agentCfg_.numClients = w.numClients;
-  agentCfg_.broadcastPeriod = w.broadcastPeriod;
-  agentCfg_.windowIntervals = w.windowIntervals;
-  agentCfg_.timestampBits = w.timestampBits;
-  agentCfg_.dataItemBytes = w.dataItemBytes;
-  agentCfg_.controlMessageBytes = w.controlMessageBytes;
-  agentCfg_.sigSubsets = w.sigSubsets;
-  agentCfg_.sigPerItem = w.sigPerItem;
-  agentCfg_.sigVotes = w.sigVotes;
-  agentCfg_.gcoreGroupSize = w.gcoreGroupSize;
+  agentCfg_ = welcomedConfig(opts_.cfg, w);
 
   shardMap_ = w.shardMap;
   stats_.reportsHeardPerShard.assign(shardMap_.shardCount(), 0);

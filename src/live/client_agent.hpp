@@ -67,6 +67,11 @@ struct PoolStats {
 
 class ClientPool;
 
+/// `local` (seed, workload, disconnect knobs) overlaid with the server's
+/// Welcome fields; the model of ClientPool and swarm::SwarmEmulator.
+[[nodiscard]] core::SimConfig welcomedConfig(const core::SimConfig& local,
+                                             const wire::Welcome& w);
+
 /// One mobile host speaking the live wire protocol: the state machine of
 /// core::Client (think → query → answer-on-next-report → fetch misses →
 /// doze coin) driven by reactor timers and real sockets instead of

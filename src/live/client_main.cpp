@@ -45,9 +45,7 @@ int main(int argc, char** argv) {
   }
   const double duration = cli.getDouble("duration", 120.0);  // model seconds
   const bool asJson = cli.has("json");
-  for (const auto& unknown : cli.unknownArgs()) {
-    std::fprintf(stderr, "warning: unknown flag --%s\n", unknown.c_str());
-  }
+  if (cli.rejectUnknownArgs("mci_live_client")) return 2;
   if (opts.port == 0) {
     std::fprintf(stderr, "usage: mci_live_client --port <tcp port> "
                          "[--agents N] [--duration model-seconds]\n");

@@ -174,9 +174,7 @@ int main(int argc, char** argv) {
       return 1;
     }
   }
-  for (const auto& unknown : cli.unknownArgs()) {
-    std::fprintf(stderr, "warning: unknown flag --%s\n", unknown.c_str());
-  }
+  if (cli.rejectUnknownArgs("mci_live_cluster")) return 2;
 
   live::Reactor reactor;
   live::Cluster cluster(reactor, opts);

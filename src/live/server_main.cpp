@@ -101,9 +101,7 @@ int main(int argc, char** argv) {
   }
 
   const double duration = cli.getDouble("duration", 0.0);  // model s; 0 = run
-  for (const auto& unknown : cli.unknownArgs()) {
-    std::fprintf(stderr, "warning: unknown flag --%s\n", unknown.c_str());
-  }
+  if (cli.rejectUnknownArgs("mci_live_server")) return 2;
 
   live::Reactor reactor;
   live::BroadcastServer server(reactor, opts);

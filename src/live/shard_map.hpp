@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -112,5 +113,15 @@ class ShardMap {
   std::uint64_t hashSeed_ = kDefaultHashSeed;
   std::vector<ShardEndpoint> shards_;
 };
+
+/// A host's cache share for `shard`: `capacity` split evenly (the hash map
+/// spreads items uniformly), the first `capacity % shards` shards taking
+/// one extra slot, never less than one.
+[[nodiscard]] inline std::uint32_t cacheShare(std::uint32_t capacity,
+                                              std::uint32_t shards,
+                                              std::uint32_t shard) {
+  return std::max<std::uint32_t>(
+      capacity / shards + (shard < capacity % shards ? 1u : 0u), 1);
+}
 
 }  // namespace mci::live

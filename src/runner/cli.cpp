@@ -107,4 +107,12 @@ std::vector<std::string> Cli::unknownArgs() const {
   return out;
 }
 
+bool Cli::rejectUnknownArgs(const char* program) const {
+  const std::vector<std::string> unknown = unknownArgs();
+  for (const std::string& key : unknown) {
+    std::fprintf(stderr, "%s: unknown flag --%s\n", program, key.c_str());
+  }
+  return !unknown.empty();
+}
+
 }  // namespace mci::runner

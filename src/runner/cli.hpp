@@ -45,6 +45,10 @@ class Cli {
   /// Keys the caller never queried (call after all getX calls).
   [[nodiscard]] std::vector<std::string> unknownArgs() const;
 
+  /// Prints each unknownArgs() key to stderr; true if any. The daemons exit
+  /// 2 on it: a mistyped flag must not run a default nobody asked for.
+  [[nodiscard]] bool rejectUnknownArgs(const char* program) const;
+
  private:
   struct Arg {
     std::string key;

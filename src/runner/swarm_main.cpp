@@ -380,6 +380,7 @@ int main(int argc, char** argv) {
   plan.enabled = cli.has("reshard");
   plan.growBy = static_cast<std::uint32_t>(cli.getInt("reshard-grow", 2));
   plan.atFrac = cli.getDouble("reshard-at", 0.4);
+  if (cli.rejectUnknownArgs("mci_swarm")) return 2;
 
   if (zipfTheta >= 0.0 && parityAgents > 0) {
     // The pool draws from the configured UNIFORM/HOTCOLD pattern; a Zipf

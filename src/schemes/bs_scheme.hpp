@@ -27,19 +27,13 @@ class BsServerScheme final : public ServerScheme {
   report::BsBuilder builder_;  // rebroadcasts unchanged histories from cache
 };
 
-/// Client half: Figure 2's algorithm. Never marks suspects — a BS report
-/// resolves any gap on the spot (possibly by dropping everything when the
-/// client predates TS(B_n)).
+/// Client half: Figure 2's algorithm (core::adaptive::applyBsDecision from
+/// the last heard report, shared with the adaptive schemes). Never marks
+/// suspects — a BS report resolves any gap on the spot (possibly by
+/// dropping everything when the client predates TS(B_n)).
 class BsClientScheme final : public ClientScheme {
  public:
   ClientOutcome onReport(const report::Report& r, ClientContext& ctx) override;
 };
-
-/// Applies a BS decision to the cache. Wire-faithful: a marked item is
-/// invalidated regardless of the cached copy's refTime, because the bit
-/// representation carries no per-item timestamps. Shared with the adaptive
-/// schemes' client half.
-void applyBsDecision(const report::BsReport& bs, sim::SimTime effectiveTlb,
-                     ClientContext& ctx);
 
 }  // namespace mci::schemes

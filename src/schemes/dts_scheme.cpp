@@ -64,7 +64,7 @@ ClientOutcome DtsClientScheme::onReport(const report::Report& r,
   const auto& ts = static_cast<const report::TsReport&>(r);
 
   // Listed records always apply (stale proofs).
-  applyTsEntries(ts.entries(), ctx);
+  core::adaptive::applyTsEntries(ctx, ts.entries());
 
   if (!ts.covers(ctx.lastHeard())) {
     // Beyond the guaranteed floor: survivors must prove their currency by

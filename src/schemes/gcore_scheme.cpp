@@ -60,13 +60,13 @@ ClientOutcome GcoreClientScheme::onReport(const report::Report& r,
   const bool hadSuspects = ctx.cache().suspectCount() > 0;
 
   if (!hadSuspects && ts.covers(ctx.lastHeard())) {
-    applyTsEntries(ts.entries(), ctx);
+    core::adaptive::applyTsEntries(ctx, ts.entries());
     ctx.setLastHeard(r.broadcastTime);
     return {};
   }
 
   if (!hadSuspects) ctx.markAllSuspect(ctx.lastHeard());
-  applyTsEntries(ts.entries(), ctx);
+  core::adaptive::applyTsEntries(ctx, ts.entries());
 
   ClientOutcome out;
   if (ctx.cache().suspectCount() == 0) {

@@ -12,11 +12,18 @@ ClientContext::ClientContext(ClientId id, std::size_t cacheCapacity,
       sim_(simulator),
       sink_(sink) {}
 
+void ClientContext::invalidate(cache::Entry* e) {
+  if (sink_) sink_->onInvalidate(id_, e->item, e->version, sim_.now());
+  cache_.erase(e->item);
+}
+
 void ClientContext::invalidate(db::ItemId item) {
-  cache::Entry* e = cache_.find(item);
-  if (e == nullptr) return;
-  if (sink_) sink_->onInvalidate(id_, item, e->version, sim_.now());
-  cache_.erase(item);
+  if (cache::Entry* e = cache_.find(item)) invalidate(e);
+}
+
+void ClientContext::insert(db::ItemId item, db::Version version,
+                           sim::SimTime refTime) {
+  cache_.insert(cache::Entry{item, version, refTime, /*suspect=*/false});
 }
 
 std::size_t ClientContext::dropAll() {
@@ -35,14 +42,6 @@ std::size_t ClientContext::dropSuspects() {
   const std::size_t n = cache_.dropSuspects();
   if (n > 0 && sink_) sink_->onCacheDrop(id_, n, sim_.now());
   return n;
-}
-
-void ClientContext::salvageEntry(db::ItemId item, sim::SimTime refTime) {
-  cache::Entry* e = cache_.find(item);
-  if (e == nullptr || !e->suspect) return;
-  cache_.clearSuspect(item);
-  e->refTime = refTime;
-  if (sink_) sink_->onSalvage(id_, 1, sim_.now());
 }
 
 std::size_t ClientContext::salvageAllSuspects(sim::SimTime refTime) {
@@ -74,19 +73,7 @@ void ClientContext::restartGapCycle() {
 }
 
 void ClientScheme::onWake(ClientContext& ctx, sim::SimTime /*now*/) {
-  if (ctx.cache().suspectCount() > 0) {
-    ctx.restartGapCycle();
-  } else {
-    ctx.clearGapState();
-  }
-}
-
-void applyTsEntries(const std::vector<db::UpdateRecord>& entries,
-                    ClientContext& ctx) {
-  for (const db::UpdateRecord& rec : entries) {
-    const cache::Entry* e = ctx.cache().find(rec.item);
-    if (e != nullptr && rec.time > e->refTime) ctx.invalidate(rec.item);
-  }
+  core::adaptive::onWake(ctx);
 }
 
 }  // namespace mci::schemes

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "cache/lru_cache.hpp"
+#include "core/adaptive_client.hpp"
 #include "core/annotations.hpp"
 #include "db/item.hpp"
 #include "net/units.hpp"
@@ -61,9 +62,13 @@ class CacheEventSink {
 /// Per-client state shared between the client state machine and the
 /// scheme's client half: the cache, the listening timestamps, and the
 /// salvage bookkeeping, with metric notifications folded into every
-/// mutation.
+/// mutation. Also the scalar core::adaptive::Partition the shared adaptive
+/// rules (core/adaptive_client.hpp) run on.
 class ClientContext {
  public:
+  using Time = sim::SimTime;
+  [[nodiscard]] static sim::SimTime simTime(Time t) { return t; }
+
   ClientContext(ClientId id, std::size_t cacheCapacity,
                 const report::SizeModel& sizes, sim::Simulator& simulator,
                 CacheEventSink* sink,
@@ -85,6 +90,9 @@ class ClientContext {
   /// entries were marked suspect. This — not lastHeard() — is what gets
   /// uplinked to the server and what salvage decisions are made against.
   [[nodiscard]] sim::SimTime suspectAsOf() const { return suspectAsOf_; }
+  [[nodiscard]] std::size_t suspectCount() const {
+    return cache_.suspectCount();
+  }
 
   /// True while queries must not be answered from cache because a salvage
   /// is unresolved (check/Tlb in flight, or awaiting the helping report).
@@ -102,10 +110,22 @@ class ClientContext {
   [[nodiscard]] sim::SimTime checkDeliveredAt() const { return checkDeliveredAt_; }
   void setCheckDeliveredAt(sim::SimTime t) { checkDeliveredAt_ = t; }
 
-  // -- cache mutations (all notify the metrics sink) --
+  // -- cache access (mutations notify the metrics sink) --
 
-  /// Removes `item` because a report/reply said it is stale.
+  [[nodiscard]] MCI_HOT cache::Entry* find(db::ItemId item) {
+    return cache_.find(item);
+  }
+  [[nodiscard]] static sim::SimTime refTime(const cache::Entry* e) {
+    return e->refTime;
+  }
+
+  /// Removes a found entry because a report/reply said it is stale.
+  MCI_HOT void invalidate(cache::Entry* e);
+  /// Removes `item` (if cached) because a report/reply said it is stale.
   void invalidate(db::ItemId item);
+
+  /// Caches a fetched copy, known current as of `refTime`.
+  void insert(db::ItemId item, db::Version version, sim::SimTime refTime);
 
   /// Drops the whole cache (TS beyond window, BS beyond TS(B_n)).
   std::size_t dropAll();
@@ -115,9 +135,6 @@ class ClientContext {
 
   /// Drops all suspect entries (salvage declined / impossible).
   std::size_t dropSuspects();
-
-  /// Clears the suspect flag of `item` and refreshes its refTime.
-  void salvageEntry(db::ItemId item, sim::SimTime refTime);
 
   /// Salvages every remaining suspect entry at once.
   std::size_t salvageAllSuspects(sim::SimTime refTime);
@@ -194,12 +211,5 @@ class ServerScheme {
   virtual std::optional<ValidityReply> onCheckMessage(const CheckMessage& msg,
                                                       sim::SimTime now) = 0;
 };
-
-/// Applies a TS-style report's explicit records to the cache: every listed
-/// (o, t) with t newer than the cached copy's refTime is stale. Shared by
-/// TS, AT, TS-checking and the adaptive schemes — the per-report client
-/// kernel, hence MCI_HOT (tools/analyze: nothing it reaches may allocate).
-MCI_HOT void applyTsEntries(const std::vector<db::UpdateRecord>& entries,
-                            ClientContext& ctx);
 
 }  // namespace mci::schemes

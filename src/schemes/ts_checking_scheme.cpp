@@ -23,7 +23,7 @@ ClientOutcome TsCheckingClientScheme::onReport(const report::Report& r,
   const bool hadSuspects = ctx.cache().suspectCount() > 0;
 
   if (!hadSuspects && ts.covers(ctx.lastHeard())) {
-    applyTsEntries(ts.entries(), ctx);
+    core::adaptive::applyTsEntries(ctx, ts.entries());
     ctx.setLastHeard(r.broadcastTime);
     return {};
   }
@@ -35,7 +35,7 @@ ClientOutcome TsCheckingClientScheme::onReport(const report::Report& r,
   }
   // Listed records still carry exact information — apply them first so the
   // checking request (and the validity reply) shrink accordingly.
-  applyTsEntries(ts.entries(), ctx);
+  core::adaptive::applyTsEntries(ctx, ts.entries());
 
   ClientOutcome out;
   if (ctx.cache().suspectCount() == 0) {

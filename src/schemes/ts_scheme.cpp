@@ -28,7 +28,7 @@ ClientOutcome TsClientScheme::onReport(const report::Report& r,
   assert(r.kind == report::ReportKind::kTsWindow);
   const auto& ts = static_cast<const report::TsReport&>(r);
   if (ts.covers(ctx.lastHeard())) {
-    applyTsEntries(ts.entries(), ctx);
+    core::adaptive::applyTsEntries(ctx, ts.entries());
   } else {
     // Disconnected for more than w broadcast intervals: the client cannot
     // tell which parts of the cache are valid — everything goes.

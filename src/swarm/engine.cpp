@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "core/adaptive_client.hpp"
+#include "live/client_agent.hpp"
 #include "schemes/factory.hpp"
 
 namespace mci::swarm {
@@ -49,15 +51,7 @@ void SwarmEmulator::onWelcome(const live::wire::Welcome& w) {
         "server runs something else");
   }
 
-  cfg_ = opts_.cfg;
-  cfg_.scheme = scheme;
-  cfg_.dbSize = w.dbSize;
-  cfg_.numClients = w.numClients;
-  cfg_.broadcastPeriod = w.broadcastPeriod;
-  cfg_.windowIntervals = w.windowIntervals;
-  cfg_.timestampBits = w.timestampBits;
-  cfg_.dataItemBytes = w.dataItemBytes;
-  cfg_.controlMessageBytes = w.controlMessageBytes;
+  cfg_ = live::welcomedConfig(opts_.cfg, w);
 
   sizes_ = cfg_.sizeModel();
   codec_ = std::make_unique<report::ReportCodec>(sizes_);
@@ -140,26 +134,12 @@ void SwarmEmulator::drawQuery(std::uint32_t c, double startModel) {
   pendingFetch_[c] = 0;
 }
 
-void SwarmEmulator::clearGap(std::size_t csIdx) {
-  state_.salvagePending.clear(csIdx);
-  state_.checkSent.clear(csIdx);
-  state_.checkDeliveredAt[csIdx] = kNeverTick;
-  state_.suspectAsOf[csIdx] = 0;
-}
-
-void SwarmEmulator::wake(std::uint32_t c, Tick now) {
+void SwarmEmulator::wake(std::uint32_t c) {
   ++stats_.wakes;
-  // onWake on every shard's gap state (ClientAgent::wake).
+  // Every shard's partition judges its own gap (ClientAgent::wake).
   for (std::uint32_t s = 0; s < state_.shards; ++s) {
-    const std::size_t idx = state_.cs(c, s);
-    if (state_.suspectCount[idx] > 0) {
-      // restartGapCycle: the doze invalidated any in-flight check.
-      state_.salvagePending.set(idx);
-      state_.checkSent.clear(idx);
-      state_.checkDeliveredAt[idx] = kNeverTick;
-    } else {
-      clearGap(idx);
-    }
+    SwarmPartition p(state_, c, s);
+    core::adaptive::onWake(p);
   }
   const double wakeModel = state_.dozeEnd[c];
   if (state_.queryAfterWake.get(c)) {
@@ -169,7 +149,6 @@ void SwarmEmulator::wake(std::uint32_t c, Tick now) {
     state_.thinkDeadline[c] = wakeModel + state_.thinkDeadline[c];
     state_.state[c] = ClientState::kThinking;
   }
-  (void)now;
 }
 
 void SwarmEmulator::beginDoze(std::uint32_t c, double nowModel,
@@ -206,99 +185,6 @@ void SwarmEmulator::completeQuery(std::uint32_t c, Tick now) {
         nowModel + state_.rngQuery[c].exponential(cfg_.meanThinkTime);
     state_.state[c] = ClientState::kThinking;
   }
-}
-
-void SwarmEmulator::applyTsClient(std::uint32_t c, std::uint32_t s, Tick now,
-                                  Tick coverage) {
-  // AdaptiveClientScheme::onReport, TS branch, with every timestamp on the
-  // integer tick grid (covers(tlb) == tlb >= coverageStart).
-  const std::size_t idx = state_.cs(c, s);
-  const bool hadSuspects = state_.suspectCount[idx] > 0;
-
-  const auto applyEntries = [&] {
-    // applyTsEntries: invalidate any cached entry the report lists with a
-    // later update time.
-    const std::size_t n = entryItem_.size();
-    for (std::size_t i = 0; i < n; ++i) {
-      const int slot = state_.findSlot(c, s, entryItem_[i]);
-      if (slot < 0) continue;
-      const std::size_t si = state_.slotIndex(c, slot);
-      if (entryTick_[i] > state_.slotRef[si]) {
-        state_.invalidateSlot(c, s, static_cast<std::uint32_t>(slot));
-      }
-    }
-  };
-
-  if (!hadSuspects && state_.lastHeard[idx] >= coverage) {
-    applyEntries();
-    state_.lastHeard[idx] = now;
-    return;
-  }
-  if (!hadSuspects) {
-    // Gap detected: everything cached becomes suspect as of lastHeard.
-    state_.suspectAsOf[idx] = state_.lastHeard[idx];
-    if (state_.markAllSuspectPartition(c, s) == 0) {
-      applyEntries();
-      clearGap(idx);
-      state_.lastHeard[idx] = now;
-      return;
-    }
-  }
-  applyEntries();
-  if (state_.suspectAsOf[idx] >= coverage) {
-    // The (possibly extended) window reaches back to our Tlb: salvage.
-    state_.salvagePartition(c, s, now);
-    clearGap(idx);
-    state_.lastHeard[idx] = now;
-    return;
-  }
-  if (!state_.checkSent.get(idx)) {
-    // A mid-flip joiner endpoint may not be welcomed yet: nothing was
-    // sent, leave both flags clear and retry on the next report. Suspects
-    // stay unanswerable-as-hits meanwhile (answerShard treats them as
-    // misses), so correctness is unaffected.
-    if (mux_->sendCheck(s, c,
-                        live::LiveClock::tickToTime(state_.suspectAsOf[idx]),
-                        tlbBits_)) {
-      state_.checkSent.set(idx);
-      state_.salvagePending.set(idx);
-    }
-  } else if (state_.checkDeliveredAt[idx] < now) {
-    // The server absorbed our Tlb before building this report and still
-    // did not cover us: the explicit decline. Drop the suspects.
-    state_.dropSuspectsPartition(c, s);
-    clearGap(idx);
-  }
-  state_.lastHeard[idx] = now;
-}
-
-void SwarmEmulator::applyBsClient(std::uint32_t c, std::uint32_t s, Tick now,
-                                  const report::BsReport& bs) {
-  // AdaptiveClientScheme::onReport, helping-BS branch.
-  const std::size_t idx = state_.cs(c, s);
-  const bool hadSuspects = state_.suspectCount[idx] > 0;
-  const Tick effective =
-      hadSuspects ? state_.suspectAsOf[idx] : state_.lastHeard[idx];
-  const report::BsReport::Decision d =
-      bs.decide(live::LiveClock::tickToTime(effective));
-  switch (d.action) {
-    case report::BsReport::Action::kNothing:
-      break;
-    case report::BsReport::Action::kDropAll:
-      state_.dropPartition(c, s);
-      break;
-    case report::BsReport::Action::kInvalidateSet:
-      for (const db::UpdateRecord& rec : d.marked) {
-        const int slot = state_.findSlot(c, s, rec.item);
-        if (slot >= 0) {
-          state_.invalidateSlot(c, s, static_cast<std::uint32_t>(slot));
-        }
-      }
-      break;
-  }
-  if (state_.suspectCount[idx] > 0) state_.salvagePartition(c, s, now);
-  clearGap(idx);
-  state_.lastHeard[idx] = now;
 }
 
 void SwarmEmulator::answerShard(std::uint32_t c, std::uint32_t s, Tick now) {
@@ -358,7 +244,7 @@ void SwarmEmulator::tick(std::uint32_t shard, Tick now, bool isTs,
     // (a) wake dozers whose doze elapsed before this report.
     if (state_.state[c] == ClientState::kDozing) {
       if (state_.dozeEnd[c] > nowModel) continue;  // radio still off
-      wake(c, now);
+      wake(c);
     }
     // (b) promote thinkers whose deadline passed: the query exists from
     // its deadline on, so it is answerable by this very report.
@@ -366,18 +252,26 @@ void SwarmEmulator::tick(std::uint32_t shard, Tick now, bool isTs,
         state_.thinkDeadline[c] <= nowModel) {
       drawQuery(c, state_.thinkDeadline[c]);
     }
-    // (c) the shared decode, applied to this client.
+    // (c) the shared decode, applied to this client by the shared rules.
     ++stats_.clientTicks;
+    SwarmPartition p(state_, c, shard);
     if (isTs) {
-      applyTsClient(c, shard, now, coverage);
+      const auto tlb = core::adaptive::onTsReport(p, now, coverage, entries_);
+      // A mid-flip joiner endpoint may not be welcomed yet: nothing was
+      // sent, so nothing is committed and the next uncovered report
+      // retries. Suspects stay unanswerable-as-hits meanwhile (answerShard
+      // treats them as misses), so correctness is unaffected.
+      if (tlb && mux_->sendCheck(shard, c, live::LiveClock::tickToTime(*tlb),
+                                 tlbBits_)) {
+        core::adaptive::commitCheck(p);
+      }
     } else {
-      applyBsClient(c, shard, now, *bs);
+      core::adaptive::onBsReport(p, now, *bs);
     }
     // (d) answer a waiting query on this shard (unless a salvage reply is
     // in flight on it — maybeAnswerLink's salvagePending guard).
     if (state_.state[c] == ClientState::kAwaiting &&
-        (state_.needAnswer[c] >> shard & 1u) != 0 &&
-        !state_.salvagePending.get(state_.cs(c, shard))) {
+        (state_.needAnswer[c] >> shard & 1u) != 0 && !p.salvagePending()) {
       answerShard(c, shard, now);
     }
     // (e) the per-interval doze coin, flipped on shard 0's reports only.
@@ -397,32 +291,15 @@ void SwarmEmulator::onReportPayload(std::uint32_t shard,
   report::BitReader r(data, len);
   const std::uint64_t kind = r.read(2);
   if (kind == 0) {
-    // TS window / extended report, parsed in place into the entry scratch:
-    // [kind:2][extended:1][T][coverageStart][count:24] count x [id][t].
-    // tests/swarm/swarm_test.cpp pins this parse against codec.decodeTs.
-    const bool extended = r.read(1) != 0;
-    const auto now = static_cast<Tick>(r.read(tsBits_));
-    const auto coverage = static_cast<Tick>(r.read(tsBits_));
-    const std::uint64_t count = r.read(24);
-    if (!r.fits(count, itemBits_ + tsBits_)) {
-      ++stats_.unsupportedReports;
-      return;
-    }
-    entryItem_.clear();
-    entryTick_.clear();
-    for (std::uint64_t i = 0; i < count; ++i) {
-      // MCI-ANALYZE-ALLOW(hot-path-alloc): entry scratch high-water only
-      entryItem_.push_back(static_cast<db::ItemId>(r.read(itemBits_)));
-      // MCI-ANALYZE-ALLOW(hot-path-alloc): entry scratch high-water only
-      entryTick_.push_back(static_cast<Tick>(r.read(tsBits_)));
-    }
-    if (!r.ok()) {
+    const std::optional<TsWireHeader> h =
+        parseTsBody(r, tsBits_, itemBits_, entries_);
+    if (!h) {
       ++stats_.unsupportedReports;
       return;
     }
     ++stats_.reportsProcessed;
-    if (extended) ++stats_.extendedReports;
-    tick(shard, now, /*isTs=*/true, coverage, nullptr);
+    if (h->extended) ++stats_.extendedReports;
+    tick(shard, h->now, /*isTs=*/true, h->coverage, nullptr);
     return;
   }
   if (kind == 1) {
@@ -452,24 +329,17 @@ void SwarmEmulator::onDataItem(std::uint32_t shard, std::uint32_t client,
   // applied by then is already reflected in the fetched version, and any
   // later update is listed by a later report with time > fetchTick — the
   // entry can never be stale, and the stamp is endpoint-count independent.
+  // A copy read before the partition's lastHeard is dropped by the shared
+  // late-copy rule (the next query simply misses again).
   //
-  // Unless a report was already applied on this shard after the server read
-  // the copy (lastHeard moved past readTick): the TCP reply and the UDP
-  // report stream are unordered, so that report may have listed an update
-  // for this very item while it was still absent — a no-op invalidation.
-  // Caching the copy now would plant an entry behind the partition's
-  // consistency point, where a later legitimately-short extended report
-  // could wrongly salvage it. Drop the late copy instead (the next query
-  // simply misses again). ClientAgent::onDataItem applies the same rule.
   // File the copy under the item's *current* owner, not the conn's shard
   // tag: during a reshard a reply can come back on a draining conn whose
   // shard left the map, or for an item whose owner changed since the miss
   // went out. Pre-flip the two are identical.
-  const std::uint32_t owner = mux_->shardMap().shardOf(item);
   (void)shard;
-  if (readTick >= state_.lastHeard[state_.cs(client, owner)]) {
-    state_.insert(client, owner, item, fetchTick, version);
-  } else {
+  SwarmPartition p(state_, client, mux_->shardMap().shardOf(item));
+  if (!core::adaptive::acceptFetchedCopy(p, item, version, readTick,
+                                         fetchTick)) {
     ++stats_.lateFetchesDropped;
   }
   MCI_DCHECK(pendingFetch_[client] > 0) << "DataItem with no pending fetch";
@@ -485,7 +355,7 @@ void SwarmEmulator::onCheckAck(std::uint32_t shard, std::uint32_t client,
   // onCheckDelivered: stamp the ack; the next uncovering report compares
   // checkDeliveredAt against its broadcast tick to detect the decline.
   if (shard >= state_.shards) return;  // drained ack; the shard left the map
-  state_.checkDeliveredAt[state_.cs(client, shard)] = asOfTick;
+  SwarmPartition(state_, client, shard).setCheckDeliveredAt(asOfTick);
 }
 
 void SwarmEmulator::onConnectionLost(std::uint32_t shard) {
@@ -498,25 +368,16 @@ void SwarmEmulator::onMapUpdate(const live::ShardMap& oldMap,
   const std::uint32_t oldShards = state_.shards;
   const std::uint32_t newShards = newMap.shardCount();
 
-  // Pre-flip Tlb per client: the most conservative instant every old
-  // partition is provably consistent at — min over shards of lastHeard,
-  // folding in suspectAsOf where a gap cycle is already running. Every
-  // update a client could have missed around the switch is listed by some
-  // new-owner report (or resolvable via its spliced history) after this
-  // instant, so suspect-as-of-preTlb plus one ordinary gap cycle per
-  // partition is exactly the ClientAgent::applyShardMap argument, swept.
+  // Pre-flip anchor per client over its old partitions; every partition
+  // then re-enters suspect as of it and runs one ordinary gap cycle — the
+  // ClientAgent::applyShardMap argument, swept.
   std::vector<Tick> preTlb(state_.clients, 0);
   for (std::uint32_t c = 0; c < state_.clients; ++c) {
-    Tick t = kNeverTick;
-    for (std::uint32_t s = 0; s < oldShards; ++s) {
-      const std::size_t idx = state_.cs(c, s);
-      Tick v = state_.lastHeard[idx];
-      if (state_.suspectCount[idx] > 0) {
-        v = std::min(v, state_.suspectAsOf[idx]);
+    preTlb[c] = core::adaptive::preFlipAnchor<Tick>([&](auto&& visit) {
+      for (std::uint32_t s = 0; s < oldShards; ++s) {
+        visit(SwarmPartition(state_, c, s));
       }
-      t = std::min(t, v);
-    }
-    preTlb[c] = t == kNeverTick ? 0 : t;
+    });
   }
 
   state_.resizeShards(
@@ -525,16 +386,9 @@ void SwarmEmulator::onMapUpdate(const live::ShardMap& oldMap,
 
   for (std::uint32_t c = 0; c < state_.clients; ++c) {
     for (std::uint32_t s = 0; s < newShards; ++s) {
-      const std::size_t idx = state_.cs(c, s);
-      if (s >= oldShards) state_.lastHeard[idx] = preTlb[c];
-      state_.checkDeliveredAt[idx] = kNeverTick;
-      if (state_.markAllSuspectPartition(c, s) > 0) {
-        state_.suspectAsOf[idx] = preTlb[c];
-        state_.salvagePending.set(idx);
-      } else {
-        state_.suspectAsOf[idx] = 0;
-        state_.salvagePending.clear(idx);
-      }
+      SwarmPartition p(state_, c, s);
+      if (s >= oldShards) p.setLastHeard(preTlb[c]);
+      core::adaptive::adoptAtAnchor(p, preTlb[c]);
     }
     // Remap an in-flight query's owed-answer mask from old owners to new.
     // Per-item answered state is not tracked, so an already-answered item
@@ -558,6 +412,27 @@ void SwarmEmulator::onMapUpdate(const live::ShardMap& oldMap,
       if (mask == 0 && pendingFetch_[c] == 0) completeQuery(c, lastTick_);
     }
   }
+}
+
+std::optional<TsWireHeader> parseTsBody(report::BitReader& r, int tsBits,
+                                        int itemBits,
+                                        std::vector<TickRecord>& records) {
+  TsWireHeader h;
+  h.extended = r.read(1) != 0;
+  h.now = static_cast<Tick>(r.read(tsBits));
+  h.coverage = static_cast<Tick>(r.read(tsBits));
+  const std::uint64_t count = r.read(24);
+  if (!r.fits(count, itemBits + tsBits)) return std::nullopt;
+  records.clear();
+  for (std::uint64_t i = 0; i < count; ++i) {
+    TickRecord rec;
+    rec.item = static_cast<db::ItemId>(r.read(itemBits));
+    rec.time = static_cast<Tick>(r.read(tsBits));
+    // MCI-ANALYZE-ALLOW(hot-path-alloc): record scratch high-water only
+    records.push_back(rec);
+  }
+  if (!r.ok()) return std::nullopt;
+  return h;
 }
 
 }  // namespace mci::swarm

@@ -77,6 +77,20 @@ struct SwarmStats {
   }
 };
 
+struct TsWireHeader {
+  bool extended = false;
+  Tick now = 0;       ///< broadcast tick
+  Tick coverage = 0;  ///< coverageStart (the dummy Tlb when extended)
+};
+
+/// The swarm's in-place TS parse, `r` just past the 2-bit report kind:
+/// [extended:1][T][coverageStart][count:24] then count x [item][t], into
+/// `records` (cleared; capacity reused, so allocation-free at high water).
+/// nullopt when the count cannot fit the frame or the reader ran dry.
+MCI_HOT std::optional<TsWireHeader> parseTsBody(
+    report::BitReader& r, int tsBits, int itemBits,
+    std::vector<TickRecord>& records);
+
 /// Per-cohort histograms plus their exact merge (Hist::merge).
 struct SwarmCohorts {
   std::vector<metrics::Hist> aoiMs;      ///< hit age-of-information, ms
@@ -91,12 +105,13 @@ struct SwarmCohorts {
 /// sweeps keyed off report arrivals ("lazy ticks"):
 ///
 ///   on a shard-s report at tick T:
-///     (a) wake every dozer whose dozeEnd <= T (onWake gap handling on
-///         every shard, then resume think or query-after-wake),
+///     (a) wake every dozer whose dozeEnd <= T (the shared onWake gap rule
+///         on every shard, then resume think or query-after-wake),
 ///     (b) promote every thinker whose thinkDeadline <= T to a query
 ///         (drawn from its own rngQuery stream by QueryGenerator's law),
-///     (c) apply the report once-decoded across all awake clients
-///         (AdaptiveClientScheme::onReport, branch for branch),
+///     (c) apply the report once-decoded across all awake clients: the
+///         adaptive rules of core/adaptive_client.hpp, the very body
+///         AdaptiveClientScheme::onReport runs, over a SwarmPartition view,
 ///     (d) answer waiting queries on shard s (hit/miss/AoI/audit; misses
 ///         are staged on the mux and batch-flushed at tick end),
 ///     (e) flip the interval-coin for still-thinking clients (shard-0
@@ -154,19 +169,14 @@ class SwarmEmulator final : public SwarmSink {
  private:
   [[nodiscard]] MCI_HOT db::ItemId pickItem(sim::Rng& rng) const;
   MCI_HOT void drawQuery(std::uint32_t c, double startModel);
-  MCI_HOT void wake(std::uint32_t c, Tick now);
+  MCI_HOT void wake(std::uint32_t c);
   MCI_HOT void beginDoze(std::uint32_t c, double nowModel,
                          bool queryAfterWake);
   MCI_HOT void completeQuery(std::uint32_t c, Tick now);
-  MCI_HOT void clearGap(std::size_t csIdx);
 
   /// The shared sweep: phases (a)-(e) above for one report.
   MCI_HOT void tick(std::uint32_t shard, Tick now, bool isTs, Tick coverage,
                     const report::BsReport* bs);
-  MCI_HOT void applyTsClient(std::uint32_t c, std::uint32_t s, Tick now,
-                             Tick coverage);
-  void applyBsClient(std::uint32_t c, std::uint32_t s, Tick now,
-                     const report::BsReport& bs);
   MCI_HOT void answerShard(std::uint32_t c, std::uint32_t s, Tick now);
 
   live::Reactor& reactor_;
@@ -190,8 +200,7 @@ class SwarmEmulator final : public SwarmSink {
   std::uint32_t cacheCapacity_ = 0;  ///< from Welcome; reused at reshard
 
   // Shared decode scratch for the current TS report (capacity reused).
-  std::vector<db::ItemId> entryItem_;
-  std::vector<Tick> entryTick_;
+  std::vector<TickRecord> entries_;
   std::vector<db::ItemId> queryScratch_;  ///< nextQuery mirror buffer
   std::vector<std::uint8_t> bsFrame_;     ///< BS decode copy (rare path)
 

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "live/shard_map.hpp"
+
 namespace mci::swarm {
 
 void SwarmState::configure(std::uint32_t numClients, std::uint32_t numShards,
@@ -15,22 +17,7 @@ void SwarmState::configure(std::uint32_t numClients, std::uint32_t numShards,
   shards = numShards;
   dbSize = databaseSize;
 
-  // The exact capacity split ClientAgent::onWelcome performs: base share
-  // plus one extra slot for the first capacity % shards shards, floor 1.
-  shardSlotOff.assign(shards + 1, 0);
-  for (std::uint32_t s = 0; s < shards; ++s) {
-    std::uint32_t share = cacheCapacity / shards +
-                          (s < cacheCapacity % shards ? 1u : 0u);
-    share = std::max<std::uint32_t>(share, 1);
-    MCI_CHECK(share <= 0xFFFF) << "per-shard cache share exceeds uint16";
-    shardSlotOff[s + 1] = shardSlotOff[s] + share;
-  }
-  slotsPerClient = shardSlotOff[shards];
-
   const std::size_t nc = clients;
-  const std::size_t ncs = nc * shards;
-  const std::size_t nslots = nc * slotsPerClient;
-
   state.assign(nc, ClientState::kThinking);
   thinkDeadline.assign(nc, 0.0);
   dozeEnd.assign(nc, 0.0);
@@ -50,22 +37,35 @@ void SwarmState::configure(std::uint32_t numClients, std::uint32_t numShards,
     rngDisc.push_back(root.fork("disc", c));
   }
 
+  presenceEnabled =
+      static_cast<std::uint64_t>(clients) * dbSize <= kMaxPresenceBits;
+  layoutPartitions(cacheCapacity);
+}
+
+void SwarmState::layoutPartitions(std::uint32_t cacheCapacity) {
+  shardSlotOff.assign(shards + 1, 0);
+  for (std::uint32_t s = 0; s < shards; ++s) {
+    const std::uint32_t share = live::cacheShare(cacheCapacity, shards, s);
+    MCI_CHECK(share <= 0xFFFF) << "per-shard cache share exceeds uint16";
+    shardSlotOff[s + 1] = shardSlotOff[s] + share;
+  }
+  slotsPerClient = shardSlotOff[shards];
+
+  const std::size_t ncs = static_cast<std::size_t>(clients) * shards;
+  const std::size_t nslots = static_cast<std::size_t>(clients) * slotsPerClient;
   slotItem.assign(nslots, kEmptySlot);
   slotRef.assign(nslots, 0);
   slotVersion.assign(nslots, 0);
   slotSuspect.assign(nslots, false);
   slotUsed.assign(nslots, false);
-
-  const std::uint64_t presenceBits =
-      static_cast<std::uint64_t>(clients) * dbSize;
-  presenceEnabled = presenceBits <= kMaxPresenceBits;
-  presence.assign(presenceEnabled ? presenceBits : 0, false);
+  presence.assign(
+      presenceEnabled ? static_cast<std::uint64_t>(clients) * dbSize : 0,
+      false);
 
   clockHand.assign(ncs, 0);
   occupancy.assign(ncs, 0);
   suspectCount.assign(ncs, 0);
-
-  lastHeard.assign(ncs, 0);   // tick 0 == sim::kTimeEpoch
+  lastHeard.assign(ncs, 0);  // tick 0 == sim::kTimeEpoch
   suspectAsOf.assign(ncs, 0);
   checkDeliveredAt.assign(ncs, kNeverTick);
   salvagePending.assign(ncs, false);
@@ -85,35 +85,7 @@ void SwarmState::resizeShards(
   std::vector<Tick> oldLastHeard = std::move(lastHeard);
 
   shards = numShards;
-  shardSlotOff.assign(shards + 1, 0);
-  for (std::uint32_t s = 0; s < shards; ++s) {
-    std::uint32_t share = cacheCapacity / shards +
-                          (s < cacheCapacity % shards ? 1u : 0u);
-    share = std::max<std::uint32_t>(share, 1);
-    MCI_CHECK(share <= 0xFFFF) << "per-shard cache share exceeds uint16";
-    shardSlotOff[s + 1] = shardSlotOff[s] + share;
-  }
-  slotsPerClient = shardSlotOff[shards];
-
-  const std::size_t nc = clients;
-  const std::size_t ncs = nc * shards;
-  const std::size_t nslots = nc * slotsPerClient;
-  slotItem.assign(nslots, kEmptySlot);
-  slotRef.assign(nslots, 0);
-  slotVersion.assign(nslots, 0);
-  slotSuspect.assign(nslots, false);
-  slotUsed.assign(nslots, false);
-  if (presenceEnabled) {
-    presence.assign(static_cast<std::uint64_t>(clients) * dbSize, false);
-  }
-  clockHand.assign(ncs, 0);
-  occupancy.assign(ncs, 0);
-  suspectCount.assign(ncs, 0);
-  lastHeard.assign(ncs, 0);
-  suspectAsOf.assign(ncs, 0);
-  checkDeliveredAt.assign(ncs, kNeverTick);
-  salvagePending.assign(ncs, false);
-  checkSent.assign(ncs, false);
+  layoutPartitions(cacheCapacity);
 
   const std::uint32_t survivors = std::min(oldShards, shards);
   for (std::uint32_t c = 0; c < clients; ++c) {
@@ -205,88 +177,75 @@ void SwarmState::insert(std::uint32_t c, std::uint32_t s, db::ItemId item,
   if (presenceEnabled) presence.set(presenceIndex(c, item));
 }
 
-void SwarmState::invalidateSlot(std::uint32_t c, std::uint32_t s,
-                                std::uint32_t slot) {
-  const std::size_t idx = slotIndex(c, slot);
-  const db::ItemId item = slotItem[idx];
-  if (item == kEmptySlot) return;
-  const std::size_t csIdx = cs(c, s);
-  if (presenceEnabled) presence.clear(presenceIndex(c, item));
-  if (slotSuspect.get(idx)) {
-    slotSuspect.clear(idx);
-    --suspectCount[csIdx];
+void SwarmPartition::freeSlot(std::size_t idx) {
+  if (st_.presenceEnabled) {
+    st_.presence.clear(st_.presenceIndex(c_, st_.slotItem[idx]));
   }
-  slotItem[idx] = kEmptySlot;
-  slotUsed.clear(idx);
-  --occupancy[csIdx];
+  st_.slotItem[idx] = SwarmState::kEmptySlot;
+  st_.slotUsed.clear(idx);
+  st_.slotSuspect.clear(idx);
+  --st_.occupancy[idx_];
 }
 
-std::uint32_t SwarmState::markAllSuspectPartition(std::uint32_t c,
-                                                  std::uint32_t s) {
-  const std::size_t base = slotIndex(c, 0);
-  const std::uint32_t lo = shardSlotOff[s];
-  const std::uint32_t hi = shardSlotOff[s + 1];
+void SwarmPartition::invalidate(Slot h) {
+  const std::size_t idx =
+      st_.slotIndex(c_, static_cast<std::uint32_t>(h.index));
+  if (st_.slotItem[idx] == SwarmState::kEmptySlot) return;
+  if (st_.slotSuspect.get(idx)) --st_.suspectCount[idx_];
+  freeSlot(idx);
+}
+
+std::uint32_t SwarmPartition::markAllSuspect(Tick preGapTlb) {
+  st_.suspectAsOf[idx_] = preGapTlb;
+  const std::size_t base = st_.slotIndex(c_, 0);
   std::uint32_t marked = 0;
-  for (std::uint32_t slot = lo; slot < hi; ++slot) {
+  for (std::uint32_t slot = st_.shardSlotOff[s_];
+       slot < st_.shardSlotOff[s_ + 1]; ++slot) {
     const std::size_t idx = base + slot;
-    if (slotItem[idx] == kEmptySlot || slotSuspect.get(idx)) continue;
-    slotSuspect.set(idx);
+    if (st_.slotItem[idx] == SwarmState::kEmptySlot ||
+        st_.slotSuspect.get(idx)) {
+      continue;
+    }
+    st_.slotSuspect.set(idx);
     ++marked;
   }
-  suspectCount[cs(c, s)] =
-      static_cast<std::uint16_t>(suspectCount[cs(c, s)] + marked);
-  return suspectCount[cs(c, s)];
+  st_.suspectCount[idx_] =
+      static_cast<std::uint16_t>(st_.suspectCount[idx_] + marked);
+  return st_.suspectCount[idx_];
 }
 
-void SwarmState::salvagePartition(std::uint32_t c, std::uint32_t s,
-                                  Tick refTime) {
-  const std::size_t base = slotIndex(c, 0);
-  const std::uint32_t lo = shardSlotOff[s];
-  const std::uint32_t hi = shardSlotOff[s + 1];
-  const std::size_t csIdx = cs(c, s);
-  if (suspectCount[csIdx] == 0) return;
-  for (std::uint32_t slot = lo; slot < hi; ++slot) {
+void SwarmPartition::salvageAllSuspects(Tick refTime) {
+  if (st_.suspectCount[idx_] == 0) return;
+  const std::size_t base = st_.slotIndex(c_, 0);
+  for (std::uint32_t slot = st_.shardSlotOff[s_];
+       slot < st_.shardSlotOff[s_ + 1]; ++slot) {
     const std::size_t idx = base + slot;
-    if (!slotSuspect.get(idx)) continue;
-    slotSuspect.clear(idx);
-    slotRef[idx] = refTime;
+    if (!st_.slotSuspect.get(idx)) continue;
+    st_.slotSuspect.clear(idx);
+    st_.slotRef[idx] = refTime;
   }
-  suspectCount[csIdx] = 0;
+  st_.suspectCount[idx_] = 0;
 }
 
-void SwarmState::dropSuspectsPartition(std::uint32_t c, std::uint32_t s) {
-  const std::size_t base = slotIndex(c, 0);
-  const std::uint32_t lo = shardSlotOff[s];
-  const std::uint32_t hi = shardSlotOff[s + 1];
-  const std::size_t csIdx = cs(c, s);
-  if (suspectCount[csIdx] == 0) return;
-  for (std::uint32_t slot = lo; slot < hi; ++slot) {
-    const std::size_t idx = base + slot;
-    if (!slotSuspect.get(idx)) continue;
-    slotSuspect.clear(idx);
-    if (presenceEnabled) presence.clear(presenceIndex(c, slotItem[idx]));
-    slotItem[idx] = kEmptySlot;
-    slotUsed.clear(idx);
-    --occupancy[csIdx];
+void SwarmPartition::dropSuspects() {
+  if (st_.suspectCount[idx_] == 0) return;
+  const std::size_t base = st_.slotIndex(c_, 0);
+  for (std::uint32_t slot = st_.shardSlotOff[s_];
+       slot < st_.shardSlotOff[s_ + 1]; ++slot) {
+    if (st_.slotSuspect.get(base + slot)) freeSlot(base + slot);
   }
-  suspectCount[csIdx] = 0;
+  st_.suspectCount[idx_] = 0;
 }
 
-void SwarmState::dropPartition(std::uint32_t c, std::uint32_t s) {
-  const std::size_t base = slotIndex(c, 0);
-  const std::uint32_t lo = shardSlotOff[s];
-  const std::uint32_t hi = shardSlotOff[s + 1];
-  const std::size_t csIdx = cs(c, s);
-  for (std::uint32_t slot = lo; slot < hi; ++slot) {
-    const std::size_t idx = base + slot;
-    if (slotItem[idx] == kEmptySlot) continue;
-    if (presenceEnabled) presence.clear(presenceIndex(c, slotItem[idx]));
-    slotItem[idx] = kEmptySlot;
-    slotUsed.clear(idx);
-    slotSuspect.clear(idx);
+void SwarmPartition::dropAll() {
+  const std::size_t base = st_.slotIndex(c_, 0);
+  for (std::uint32_t slot = st_.shardSlotOff[s_];
+       slot < st_.shardSlotOff[s_ + 1]; ++slot) {
+    if (st_.slotItem[base + slot] != SwarmState::kEmptySlot) {
+      freeSlot(base + slot);
+    }
   }
-  occupancy[csIdx] = 0;
-  suspectCount[csIdx] = 0;
+  st_.suspectCount[idx_] = 0;
 }
 
 std::size_t SwarmState::memoryBytes() const {

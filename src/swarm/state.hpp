@@ -8,6 +8,7 @@
 #include "core/annotations.hpp"
 #include "core/check.hpp"
 #include "db/item.hpp"
+#include "live/clock.hpp"
 #include "sim/random.hpp"
 #include "sim/time.hpp"
 
@@ -20,6 +21,12 @@ using Tick = std::uint32_t;
 /// Sentinel for "never": stands in for sim::kTimeInfinity in tick fields
 /// (checkDeliveredAt). Strictly greater than any reachable tick.
 inline constexpr Tick kNeverTick = ~Tick{0};
+
+/// One (item, update time) record of a TS report on the tick grid.
+struct TickRecord {
+  db::ItemId item;
+  Tick time;
+};
 
 /// Flat bit array sized once at configure time; the swarm's per-slot and
 /// per-item flags (suspect, clock-used, presence) all live here instead of
@@ -37,6 +44,7 @@ class BitArray {
   void clear(std::size_t i) {
     words_[i >> 6] &= ~(std::uint64_t{1} << (i & 63));
   }
+  void put(std::size_t i, bool v) { v ? set(i) : clear(i); }
   [[nodiscard]] std::size_t size() const { return bits_; }
   [[nodiscard]] std::size_t memoryBytes() const {
     return words_.capacity() * sizeof(std::uint64_t);
@@ -63,7 +71,7 @@ enum class ClientState : std::uint8_t {
 /// decode is applied across all awake clients by walking these arrays.
 ///
 /// The cache is a per-(client, shard) partition of `slotsPerClient` slots
-/// (the same per-shard capacity split ClientAgent::onWelcome computes)
+/// (the same per-shard capacity split, live::cacheShare, a ClientAgent uses)
 /// with CLOCK (second-chance) replacement: a per-slot used bit plus a
 /// per-partition hand approximates the sim's exact LRU within the parity
 /// tolerance while keeping eviction branch-light and allocation-free. An
@@ -110,9 +118,9 @@ struct SwarmState {
   std::vector<std::uint16_t> occupancy;    ///< live slots in the partition
   std::vector<std::uint16_t> suspectCount; ///< suspect slots in partition
 
-  // --- per-(client, shard) scheme state (AdaptiveClientScheme fields) ---
+  // --- per-(client, shard) gap state, kept by core/adaptive_client.hpp ---
   // All three timestamps live on the ms-tick grid, so every comparison the
-  // scheme makes (covers(), checkDeliveredAt < broadcastTime, rec.time >
+  // rules make (coverage, checkDeliveredAt < broadcast time, rec.time >
   // refTime) is an exact integer compare — the pool's double comparisons
   // of dequantized values, minus the doubles.
   std::vector<Tick> lastHeard;
@@ -123,7 +131,7 @@ struct SwarmState {
 
   /// Sizes every array for `clients` clients against a `shards`-shard
   /// cluster, splitting `cacheCapacity` slots per client across shards
-  /// exactly as ClientAgent::onWelcome does. Seeds client c's RNG streams
+  /// by live::cacheShare like a ClientAgent. Seeds client c's RNG streams
   /// as Rng(seed).fork("query", c) / fork("disc", c) — the simulator's and
   /// ClientPool's per-client streams, which is what makes a swarm run
   /// replayable and statistically comparable to a pool run of equal seed.
@@ -143,6 +151,10 @@ struct SwarmState {
   void resizeShards(std::uint32_t numShards, std::uint32_t cacheCapacity,
                     const std::function<std::uint32_t(db::ItemId)>& ownerOf);
 
+  /// Lays out empty partitions for the current `shards`: per-shard slot
+  /// offsets, cleared slots and presence bits, zeroed scheme state.
+  void layoutPartitions(std::uint32_t cacheCapacity);
+
   // --- indexing helpers ---
   [[nodiscard]] std::size_t cs(std::uint32_t c, std::uint32_t s) const {
     return static_cast<std::size_t>(c) * shards + s;
@@ -154,9 +166,6 @@ struct SwarmState {
   [[nodiscard]] std::size_t presenceIndex(std::uint32_t c,
                                           db::ItemId item) const {
     return static_cast<std::size_t>(c) * dbSize + item;
-  }
-  [[nodiscard]] std::uint32_t shareOf(std::uint32_t s) const {
-    return shardSlotOff[s + 1] - shardSlotOff[s];
   }
 
   // --- cache kernels (the ClientContext operations, vectorizable form) ---
@@ -171,24 +180,73 @@ struct SwarmState {
   void insert(std::uint32_t c, std::uint32_t s, db::ItemId item, Tick ref,
               db::Version version);
 
-  /// Invalidates the slot (ClientContext::invalidate of a found entry).
-  MCI_HOT void invalidateSlot(std::uint32_t c, std::uint32_t s,
-                              std::uint32_t slot);
-
-  /// Marks every cached entry of the partition suspect; returns the count.
-  std::uint32_t markAllSuspectPartition(std::uint32_t c, std::uint32_t s);
-
-  /// Clears all suspect marks, stamping refTime (salvageAllSuspects).
-  void salvagePartition(std::uint32_t c, std::uint32_t s, Tick refTime);
-
-  /// Drops every suspect entry of the partition (dropSuspects).
-  void dropSuspectsPartition(std::uint32_t c, std::uint32_t s);
-
-  /// Drops the whole partition (the BS kDropAll action).
-  void dropPartition(std::uint32_t c, std::uint32_t s);
-
   /// Approximate resident footprint of the arrays (stats/logs).
   [[nodiscard]] std::size_t memoryBytes() const;
+};
+
+/// Client c's shard-s partition of a SwarmState, as the
+/// core::adaptive::Partition the shared adaptive rules run on: the
+/// ClientContext operations in struct-of-arrays form. A throwaway view
+/// (reference plus indices), built per client tick.
+class SwarmPartition {
+ public:
+  using Time = Tick;
+  struct Slot {  ///< a cache slot; false when the item is not cached
+    int index;
+    explicit operator bool() const { return index >= 0; }
+  };
+
+  SwarmPartition(SwarmState& st, std::uint32_t c, std::uint32_t s)
+      : st_(st), c_(c), s_(s), idx_(st.cs(c, s)) {}
+
+  static sim::SimTime simTime(Tick t) { return live::LiveClock::tickToTime(t); }
+
+  Tick lastHeard() const { return st_.lastHeard[idx_]; }
+  void setLastHeard(Tick t) { st_.lastHeard[idx_] = t; }
+  Tick suspectAsOf() const { return st_.suspectAsOf[idx_]; }
+  std::size_t suspectCount() const { return st_.suspectCount[idx_]; }
+  bool salvagePending() const { return st_.salvagePending.get(idx_); }
+  void setSalvagePending(bool v) { st_.salvagePending.put(idx_, v); }
+  bool checkSent() const { return st_.checkSent.get(idx_); }
+  void setCheckSent(bool v) { st_.checkSent.put(idx_, v); }
+  Tick checkDeliveredAt() const { return st_.checkDeliveredAt[idx_]; }
+  void setCheckDeliveredAt(Tick t) { st_.checkDeliveredAt[idx_] = t; }
+
+  Slot find(db::ItemId item) const { return {st_.findSlot(c_, s_, item)}; }
+  Tick refTime(Slot h) const {
+    return st_.slotRef[st_.slotIndex(c_, static_cast<std::uint32_t>(h.index))];
+  }
+  void insert(db::ItemId item, db::Version version, Tick refTime) {
+    st_.insert(c_, s_, item, refTime, version);
+  }
+  MCI_HOT void invalidate(Slot h);
+
+  /// Marks every cached entry suspect as of `preGapTlb`; returns the
+  /// partition's suspect count.
+  std::uint32_t markAllSuspect(Tick preGapTlb);
+  void salvageAllSuspects(Tick refTime);
+  void dropSuspects();
+  void dropAll();
+  void clearGapState() {
+    st_.salvagePending.clear(idx_);
+    st_.checkSent.clear(idx_);
+    st_.checkDeliveredAt[idx_] = kNeverTick;
+    st_.suspectAsOf[idx_] = 0;
+  }
+  void restartGapCycle() {
+    setSalvagePending(suspectCount() > 0);
+    st_.checkSent.clear(idx_);
+    st_.checkDeliveredAt[idx_] = kNeverTick;
+  }
+
+ private:
+  /// Clears a live slot's item, presence, used and suspect bits.
+  void freeSlot(std::size_t idx);
+
+  SwarmState& st_;
+  std::uint32_t c_;
+  std::uint32_t s_;
+  std::size_t idx_;
 };
 
 }  // namespace mci::swarm

@@ -105,7 +105,7 @@ TEST(ApplyTsEntries, SkipsAbsentItems) {
   ClientHarness h;
   h.cacheItem(1, 10.0);
   std::vector<db::UpdateRecord> entries{{99, 50.0}, {1, 5.0}};
-  applyTsEntries(entries, h.ctx);
+  core::adaptive::applyTsEntries(h.ctx, entries);
   EXPECT_TRUE(h.ctx.cache().contains(1));  // record older than refTime
   EXPECT_TRUE(h.sink.invalidations.empty());
 }
@@ -116,7 +116,7 @@ TEST(ApplyTsEntries, TieOnRefTimeIsKept) {
   ClientHarness h;
   h.cacheItem(1, 50.0);
   std::vector<db::UpdateRecord> entries{{1, 50.0}};
-  applyTsEntries(entries, h.ctx);
+  core::adaptive::applyTsEntries(h.ctx, entries);
   EXPECT_TRUE(h.ctx.cache().contains(1));
 }
 

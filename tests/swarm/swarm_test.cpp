@@ -192,45 +192,55 @@ TEST(Swarm, NonAdaptiveServerIsRejected) {
   EXPECT_THROW(runSwarm(cfg, 400.0, 10, 1, 1), std::runtime_error);
 }
 
-// Pins the engine's in-place TS parse — [kind:2][extended:1][T:tsBits]
-// [coverage:tsBits][count:24] then count x [item:itemBits][t:tsBits] —
-// against the allocating codec over the same bytes.
+// Pins the engine's in-place TS parse (parseTsBody, the very function
+// SwarmEmulator::onReportPayload runs) against the allocating codec over
+// the same bytes, for a regular and an extended report, and checks that
+// truncated frames are refused.
 TEST(Swarm, TsWireParseMatchesReportCodec) {
   core::SimConfig cfg = baseConfig(schemes::SchemeKind::kAaw);
   const report::SizeModel sizes = cfg.sizeModel();
   report::ReportCodec codec(sizes, 1e-3);
+  const int tsBits = sizes.timestampBits;
+  const int itemBits = sizes.itemIdBits();
 
   db::UpdateHistory hist(cfg.dbSize);
+  hist.record(42, 60.5);
   hist.record(3, 101.25);
   hist.record(250, 107.5);
   hist.record(499, 119.875);
-  const std::shared_ptr<const report::TsReport> ts =
-      report::TsReport::build(hist, sizes, 120.0, 100.0);
-  const std::vector<std::uint8_t> wire = codec.encode(*ts);
+  const std::shared_ptr<const report::TsReport> reports[] = {
+      report::TsReport::build(hist, sizes, 120.0, 100.0),
+      report::TsReport::buildExtended(hist, sizes, 120.0, 50.0)};
+  std::vector<TickRecord> records;
+  for (const auto& ts : reports) {
+    const std::vector<std::uint8_t> wire = codec.encode(*ts);
+    report::BitReader r(wire.data(), wire.size());
+    ASSERT_EQ(r.read(2), 0u);  // kind TS
+    const std::optional<TsWireHeader> h =
+        parseTsBody(r, tsBits, itemBits, records);
+    ASSERT_TRUE(h.has_value());
 
-  // The engine's parse, performed here field by field.
-  report::BitReader r(wire.data(), wire.size());
-  ASSERT_EQ(r.read(2), 0u);       // kind TS
-  ASSERT_EQ(r.read(1), 0u);       // extended flag
-  const int tsBits = sizes.timestampBits;
-  const int itemBits = sizes.itemIdBits();
-  const auto now = r.read(tsBits);
-  const auto coverage = r.read(tsBits);
-  const auto count = r.read(24);
-  ASSERT_TRUE(r.fits(count, itemBits + tsBits));
+    const std::shared_ptr<const report::TsReport> decoded =
+        codec.decodeTs(wire);
+    ASSERT_TRUE(decoded != nullptr);
+    EXPECT_EQ(h->extended, decoded->extended());
+    EXPECT_DOUBLE_EQ(codec.dequantize(h->now), decoded->broadcastTime);
+    EXPECT_DOUBLE_EQ(codec.dequantize(h->coverage), decoded->coverageStart());
+    ASSERT_EQ(records.size(), decoded->entries().size());
+    for (std::size_t i = 0; i < records.size(); ++i) {
+      EXPECT_EQ(records[i].item, decoded->entries()[i].item);
+      EXPECT_DOUBLE_EQ(codec.dequantize(records[i].time),
+                       decoded->entries()[i].time);
+    }
 
-  const std::shared_ptr<const report::TsReport> decoded = codec.decodeTs(wire);
-  ASSERT_TRUE(decoded != nullptr);
-  EXPECT_DOUBLE_EQ(codec.dequantize(now), decoded->broadcastTime);
-  EXPECT_DOUBLE_EQ(codec.dequantize(coverage), decoded->coverageStart());
-  ASSERT_EQ(count, decoded->entries().size());
-  for (std::uint64_t i = 0; i < count; ++i) {
-    const auto item = static_cast<db::ItemId>(r.read(itemBits));
-    const auto t = r.read(tsBits);
-    EXPECT_EQ(item, decoded->entries()[i].item);
-    EXPECT_DOUBLE_EQ(codec.dequantize(t), decoded->entries()[i].time);
+    // Any truncation is refused by the fits()/ok() bounds checks.
+    for (std::size_t len = 1; len < wire.size(); ++len) {
+      report::BitReader t(wire.data(), len);
+      (void)t.read(2);
+      EXPECT_FALSE(parseTsBody(t, tsBits, itemBits, records).has_value())
+          << "accepted a " << len << "-byte prefix of " << wire.size();
+    }
   }
-  EXPECT_TRUE(r.ok());
 }
 
 }  // namespace
