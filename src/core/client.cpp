@@ -136,7 +136,11 @@ void Client::completeQuery() {
 }
 
 void Client::beginDoze(bool queryAfterWake) {
-  assert(state_ == State::kThinking);
+  // The post-query model dozes straight out of completeQuery(), while the
+  // query is still winding down; the interval coin only ever interrupts a
+  // think.
+  assert(queryAfterWake ? state_ != State::kDozing
+                        : state_ == State::kThinking);
   if (thinkEvent_ != sim::kInvalidEventId) {
     // The think handler clears thinkEvent_ before running, so a live id
     // always names a pending event.

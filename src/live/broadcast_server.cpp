@@ -5,7 +5,6 @@
 #include <netinet/tcp.h>
 #include <sys/epoll.h>
 #include <sys/socket.h>
-#include <sys/uio.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -261,23 +260,29 @@ void BroadcastServer::onConnEvent(int fd, std::uint32_t events) {
     return;
   }
 
-  while (true) {
-    std::optional<wire::Frame> frame = it->second.in.next();
-    if (!frame) break;
+  // Cork: every reply to this read burst is appended to conn.out and goes
+  // out in one send below (or whenever kCorkBytes pile up), instead of one
+  // send per frame. The frames and their order are unchanged.
+  it->second.corked = true;
+  while (std::optional<wire::FrameView> frame = it->second.in.nextView()) {
     handleFrame(fd, it->second, *frame);
     it = conns_.find(fd);
     if (it == conns_.end()) return;  // handler closed the connection
   }
-  stats_.badFrames += it->second.in.badFrames() - it->second.badCounted;
-  it->second.badCounted = it->second.in.badFrames();
-  if (it->second.in.corrupt()) {
+  Conn& conn = it->second;
+  conn.corked = false;
+  stats_.badFrames += conn.in.badFrames() - conn.badCounted;
+  conn.badCounted = conn.in.badFrames();
+  const bool corrupt = conn.in.corrupt();
+  flushConn(fd, conn);  // on hard error this closeConn()s, invalidating conn
+  if (corrupt && conns_.find(fd) != conns_.end()) {
     ++stats_.badFrames;
     closeConn(fd);
   }
 }
 
 void BroadcastServer::handleFrame(int fd, Conn& conn,
-                                  const wire::Frame& frame) {
+                                  const wire::FrameView& frame) {
   switch (frame.header.type) {
     case wire::FrameType::kHello:
       if (auto m = wire::decodeHello(frame.payload)) handleHello(fd, conn, *m);
@@ -305,6 +310,9 @@ void BroadcastServer::handleFrame(int fd, Conn& conn,
       }
       return;
     case wire::FrameType::kBye:
+      // Replies to the frames before the Bye still leave, as they would
+      // have uncorked; flushConn closes the connection itself on error.
+      flushConn(fd, conn);
       closeConn(fd);
       return;
     default:
@@ -395,8 +403,8 @@ void BroadcastServer::handleQuery(int fd, Conn& conn,
     d.item = item;
     d.version = db_.currentVersion(item);
     d.readTime = readTime;
-    if (!sendFrame(fd, conn, wire::FrameType::kDataItem,
-                   net::TrafficClass::kBulk, wire::encodeDataItem(d))) {
+    if (!sendEncoded(fd, conn, wire::FrameType::kDataItem,
+                     net::TrafficClass::kBulk, d, wire::encodeDataItemInto)) {
       return;  // send error closed the connection
     }
   }
@@ -441,8 +449,9 @@ void BroadcastServer::handleCheck(int fd, Conn& conn, const wire::Check& c) {
   MCI_CHECK(ack.asOf >= LiveClock::tickToTime(lastBroadcastTick_))
       << "check ack stamped " << ack.asOf << " before last broadcast tick "
       << lastBroadcastTick_;
-  if (!sendFrame(fd, conn, wire::FrameType::kCheckAck,
-                 net::TrafficClass::kControl, wire::encodeCheckAck(ack))) {
+  if (!sendEncoded(fd, conn, wire::FrameType::kCheckAck,
+                   net::TrafficClass::kControl, ack,
+                   wire::encodeCheckAckInto)) {
     return;  // send error closed the connection
   }
 
@@ -488,64 +497,54 @@ void BroadcastServer::closeConn(int fd) {
 bool BroadcastServer::sendFrame(int fd, Conn& conn, wire::FrameType type,
                                 net::TrafficClass trafficClass,
                                 const std::vector<std::uint8_t>& payload) {
-  const std::uint8_t scheme = type == wire::FrameType::kReport
-                                  ? static_cast<std::uint8_t>(opts_.cfg.scheme)
-                                  : wire::kNoScheme;
+  const std::size_t start = conn.out.size();
   const std::array<std::uint8_t, wire::kHeaderBytes> hdr =
-      wire::encodeFrameHeader(type, scheme, trafficClass, payload);
-  const std::size_t frameBytes = hdr.size() + payload.size();
-  const std::size_t queued = conn.out.size() - conn.outOff;
-  if (queued + frameBytes > opts_.maxSendQueueBytes) {
+      wire::encodeFrameHeader(type, wire::kNoScheme, trafficClass, payload);
+  conn.out.insert(conn.out.end(), hdr.begin(), hdr.end());
+  conn.out.insert(conn.out.end(), payload.begin(), payload.end());
+  return commitFrame(fd, conn, start);
+}
+
+template <typename Msg>
+bool BroadcastServer::sendEncoded(int fd, Conn& conn, wire::FrameType type,
+                                  net::TrafficClass trafficClass,
+                                  const Msg& m,
+                                  void (*encode)(const Msg&,
+                                                 report::BitWriter&)) {
+  const std::size_t start = conn.out.size();
+  report::BitWriter w =
+      wire::beginFrame(conn.out, type, wire::kNoScheme, trafficClass);
+  encode(m, w);
+  wire::finishFrame(conn.out, start, w);
+  return commitFrame(fd, conn, start);
+}
+
+bool BroadcastServer::commitFrame(int fd, Conn& conn, std::size_t start) {
+  // The cap counts bytes the kernel refused: once a send has hit EAGAIN
+  // (wantWrite), everything still queued waits behind that refusal. Corked
+  // bytes the kernel has not been offered yet do not count.
+  const std::size_t refused = conn.wantWrite ? start - conn.outOff : 0;
+  if (refused + (conn.out.size() - start) > opts_.maxSendQueueBytes) {
     // Whole-frame drop: a wedged client loses replies (and will resync via
     // future reports) but can never wedge the daemon. The connection
     // itself is still healthy.
+    conn.out.resize(start);
     ++stats_.framesDropped;
     return true;
   }
-  if (queued == 0) {
-    // Empty-queue fast path: scatter/gather the header and payload to the
-    // socket straight from their own buffers — no assembled frame vector,
-    // no queue copy. Only the unsent tail (socket buffer full) is queued.
-    std::array<iovec, 2> iov{};
-    iov[0].iov_base = const_cast<std::uint8_t*>(hdr.data());
-    iov[0].iov_len = hdr.size();
-    iov[1].iov_base = const_cast<std::uint8_t*>(payload.data());
-    iov[1].iov_len = payload.size();
-    msghdr msg{};
-    msg.msg_iov = iov.data();
-    msg.msg_iovlen = payload.empty() ? 1 : 2;
-    // MCI-ANALYZE-ALLOW(reactor-blocking): fd was accept4'd with
-    // SOCK_NONBLOCK in onAcceptable; sendmsg returns EAGAIN, never blocks
-    const ssize_t n = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
-    if (n < 0 && errno != EAGAIN && errno != EWOULDBLOCK) {
-      closeConn(fd);
-      return false;
-    }
-    const std::size_t sent = n > 0 ? static_cast<std::size_t>(n) : 0;
-    if (sent == frameBytes) return true;
-    if (sent < hdr.size()) {
-      conn.out.insert(conn.out.end(), hdr.begin() + sent, hdr.end());
-      conn.out.insert(conn.out.end(), payload.begin(), payload.end());
-    } else {
-      conn.out.insert(
-          conn.out.end(),
-          payload.begin() + static_cast<std::ptrdiff_t>(sent - hdr.size()),
-          payload.end());
-    }
-    if (!conn.wantWrite) {
-      conn.wantWrite = true;
-      reactor_.modifyFd(fd, EPOLLIN | EPOLLOUT);
-    }
+  // A full socket is drained by the EPOLLOUT handler; a corked one by the
+  // end of its event, unless the cork has grown to kCorkBytes.
+  if (conn.wantWrite ||
+      (conn.corked && conn.out.size() - conn.outOff < kCorkBytes)) {
     return true;
   }
-  conn.out.insert(conn.out.end(), hdr.begin(), hdr.end());
-  conn.out.insert(conn.out.end(), payload.begin(), payload.end());
   flushConn(fd, conn);  // on hard error this closeConn()s, invalidating conn
   return conns_.find(fd) != conns_.end();
 }
 
 void BroadcastServer::flushConn(int fd, Conn& conn) {
   while (conn.outOff < conn.out.size()) {
+    ++stats_.tcpSendCalls;
     // MCI-ANALYZE-ALLOW(reactor-blocking): fd was accept4'd with
     // SOCK_NONBLOCK in onAcceptable; send returns EAGAIN, never blocks
     const ssize_t n = ::send(fd, conn.out.data() + conn.outOff,
@@ -673,6 +672,7 @@ void BroadcastServer::scheduleNextUpdate() {
 }
 
 void BroadcastServer::runUpdateTransaction() {
+  ++stats_.updateTransactions;
   const int count =
       1 + updateRng_.poisson(opts_.cfg.meanItemsPerUpdate - 1.0);
   // Updates land strictly after the last broadcast tick, so a report's

@@ -72,12 +72,20 @@ struct ServerStats {
   /// O(clients) — bench_live gates the ratio.
   std::uint64_t udpSendSyscalls = 0;
   std::uint64_t udpDatagramsSent = 0;  ///< IR datagrams the kernel accepted
+  /// Kernel entries the TCP reply paths cost (one per send call). Replies
+  /// are corked per reactor event, so a batched query costs one send, not
+  /// one per kDataItem frame.
+  std::uint64_t tcpSendCalls = 0;
   std::uint64_t connectionsAccepted = 0;
   std::uint64_t connectionsClosed = 0;
   std::uint64_t queryRequests = 0;
   std::uint64_t checksReceived = 0;
   std::uint64_t auditsReceived = 0;
   std::uint64_t updatesApplied = 0;
+  /// Update transactions fired. The update timer re-arms after each firing,
+  /// so a busy reactor fires fewer than elapsed model time /
+  /// meanUpdateInterarrival.
+  std::uint64_t updateTransactions = 0;
   std::uint64_t badFrames = 0;
   /// Update-transaction items skipped because another shard owns them (the
   /// whole cluster draws one shared update stream; each shard keeps 1/K).
@@ -110,7 +118,9 @@ struct ServerStats {
 /// Single-threaded: everything runs on the caller's Reactor. The IR timer
 /// can never block on a slow client — IR goes out as non-blocking UDP
 /// datagrams, and TCP replies ride bounded send queues with whole-frame
-/// drops (ServerStats::framesDropped).
+/// drops (ServerStats::framesDropped). The replies to one read burst are
+/// corked into one send per connection (docs/performance.md, "Corked TCP
+/// replies").
 ///
 /// All model timestamps are LiveClock millisecond ticks with three ordering
 /// rules that re-establish, on a wall clock, the same-instant guarantees the
@@ -218,7 +228,10 @@ class BroadcastServer {
     wire::FrameBuffer in;
     std::vector<std::uint8_t> out;
     std::size_t outOff = 0;
-    bool wantWrite = false;
+    bool wantWrite = false;  ///< the kernel refused bytes; EPOLLOUT armed
+    /// Inside onConnEvent: replies collect in `out` and leave in one send
+    /// at the end of the event (or at kCorkBytes).
+    bool corked = false;
     bool welcomed = false;
     bool audit = false;
     std::uint32_t clientId = 0;
@@ -248,7 +261,7 @@ class BroadcastServer {
   void setupSockets();
   void onAcceptable();
   void onConnEvent(int fd, std::uint32_t events);
-  void handleFrame(int fd, Conn& conn, const wire::Frame& frame);
+  void handleFrame(int fd, Conn& conn, const wire::FrameView& frame);
   void handleHello(int fd, Conn& conn, const wire::Hello& hello);
   void handleQuery(int fd, Conn& conn, const wire::QueryRequest& q);
   void handleCheck(int fd, Conn& conn, const wire::Check& c);
@@ -274,14 +287,23 @@ class BroadcastServer {
   void onHandoffChannel(HandoffChannel& ch, std::uint32_t events);
   void closeHandoffChannel(HandoffChannel& ch, bool failed);
   void finishHandoffIfDone();
-  /// Queues (or drops, when the queue is full) one frame and flushes.
-  /// Returns false when the flush hit a hard error and closed the
-  /// connection — `conn` is then dangling and the caller must stop
-  /// touching it. Replaces the old "re-find(fd) after every send"
-  /// convention, which was easy to forget (tools/analyze checked-return).
+  /// Queues one frame with `payload` on `conn` (or drops it, when the
+  /// kernel is refusing bytes and the queue is full) and flushes unless the
+  /// connection is corked. Returns false when the flush hit a hard error
+  /// and closed the connection — `conn` is then dangling and the caller
+  /// must stop touching it (tools/analyze checked-return).
   [[nodiscard]] bool sendFrame(int fd, Conn& conn, wire::FrameType type,
                                net::TrafficClass trafficClass,
                                const std::vector<std::uint8_t>& payload);
+  /// sendFrame() for a message `encode` writes straight into conn.out: no
+  /// payload vector per frame.
+  template <typename Msg>
+  [[nodiscard]] bool sendEncoded(int fd, Conn& conn, wire::FrameType type,
+                                 net::TrafficClass trafficClass, const Msg& m,
+                                 void (*encode)(const Msg&,
+                                                report::BitWriter&));
+  /// The drop rule and cork for the frame appended at conn.out[start].
+  [[nodiscard]] bool commitFrame(int fd, Conn& conn, std::size_t start);
   void flushConn(int fd, Conn& conn);
 
   void broadcastTick();
@@ -293,6 +315,10 @@ class BroadcastServer {
   /// Appends the codec bytes of `r` to `w` (an arena writer on the tick
   /// path). Byte-identical to ReportCodec::encode of the same report.
   MCI_HOT void encodeReportInto(const report::Report& r, report::BitWriter& w);
+
+  /// A corked connection flushes early once this many bytes wait, which
+  /// bounds the send queue a cold-start burst of fetches can build.
+  static constexpr std::size_t kCorkBytes = 64 * 1024;
 
   Reactor& reactor_;
   /// This daemon's registration-owner generation: every addFd/addTimer is

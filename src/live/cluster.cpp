@@ -60,12 +60,14 @@ ServerStats Cluster::totalStats() const {
     t.reportsBroadcast += s.reportsBroadcast;
     t.framesDropped += s.framesDropped;
     t.udpSendFailures += s.udpSendFailures;
+    t.tcpSendCalls += s.tcpSendCalls;
     t.connectionsAccepted += s.connectionsAccepted;
     t.connectionsClosed += s.connectionsClosed;
     t.queryRequests += s.queryRequests;
     t.checksReceived += s.checksReceived;
     t.auditsReceived += s.auditsReceived;
     t.updatesApplied += s.updatesApplied;
+    t.updateTransactions += s.updateTransactions;
     t.badFrames += s.badFrames;
     t.updatesThinned += s.updatesThinned;
     t.misroutedItems += s.misroutedItems;

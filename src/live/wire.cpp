@@ -82,43 +82,53 @@ std::vector<std::uint8_t> encodeFrame(FrameType type, std::uint8_t scheme,
   return out;
 }
 
-report::BitWriter FrameArena::begin(FrameType type, std::uint8_t scheme,
-                                    net::TrafficClass trafficClass) {
-  buf_.clear();
-  // MCI-ANALYZE-ALLOW(hot-path-alloc): buf_ keeps its capacity across
-  // begin()/finish() cycles — steady-state ticks allocate nothing.
-  buf_.reserve(kHeaderBytes);
-  buf_.push_back(static_cast<std::uint8_t>(kMagic >> 8));
-  buf_.push_back(static_cast<std::uint8_t>(kMagic & 0xFF));
-  buf_.push_back(kVersion);
-  buf_.push_back(static_cast<std::uint8_t>(type));
-  buf_.push_back(scheme);
-  buf_.push_back(static_cast<std::uint8_t>(trafficClass));
-  // payloadBits and crc are zero until finish() patches them; the zeros
-  // are exactly what the CRC is computed over, matching encodeFrame.
-  buf_.insert(buf_.end(), 8, 0);
-  return report::BitWriter(buf_);
+report::BitWriter beginFrame(std::vector<std::uint8_t>& buf, FrameType type,
+                             std::uint8_t scheme,
+                             net::TrafficClass trafficClass) {
+  // payloadBits and crc stay zero until finishFrame() patches them; the
+  // zeros are exactly what the CRC is computed over, matching encodeFrame.
+  const std::array<std::uint8_t, kHeaderBytes> hdr = {
+      static_cast<std::uint8_t>(kMagic >> 8),
+      static_cast<std::uint8_t>(kMagic & 0xFF),
+      kVersion,
+      static_cast<std::uint8_t>(type),
+      scheme,
+      static_cast<std::uint8_t>(trafficClass)};
+  // MCI-ANALYZE-ALLOW(hot-path-alloc): `buf` is reused, high-water growth
+  buf.insert(buf.end(), hdr.begin(), hdr.end());
+  return report::BitWriter(buf);
 }
 
-void FrameArena::finish(const report::BitWriter& w) {
-  MCI_CHECK(buf_.size() >= kHeaderBytes) << "finish() before begin()";
-  MCI_CHECK((w.bitCount() + 7) / 8 == buf_.size() - kHeaderBytes)
-      << "finish() with a writer not produced by begin()";
+void finishFrame(std::vector<std::uint8_t>& buf, std::size_t start,
+                 const report::BitWriter& w) {
+  MCI_CHECK(start + kHeaderBytes <= buf.size())
+      << "finishFrame() without beginFrame() at " << start;
+  const std::size_t payload = buf.size() - start - kHeaderBytes;
+  MCI_CHECK((w.bitCount() + 7) / 8 == payload)
+      << "finishFrame() with a writer not produced by beginFrame()";
   // The length field counts the zero-padded whole bytes the writer emitted
   // (not the raw bit count), keeping the header byte-identical to
   // encodeFrame() over the padded codec payload.
-  const auto payloadBits =
-      static_cast<std::uint32_t>((buf_.size() - kHeaderBytes) * 8);
+  const auto payloadBits = static_cast<std::uint32_t>(payload * 8);
+  const std::span<std::uint8_t> frame = std::span(buf).subspan(start);
   for (int i = 0; i < 4; ++i) {
-    buf_[6 + static_cast<std::size_t>(i)] =
+    frame[6 + static_cast<std::size_t>(i)] =
         static_cast<std::uint8_t>(payloadBits >> (24 - 8 * i));
   }
-  const std::uint32_t crc = crc32(buf_.data(), buf_.size());
+  const std::uint32_t crc = crc32(frame.data(), frame.size());
   for (int i = 0; i < 4; ++i) {
-    buf_[10 + static_cast<std::size_t>(i)] =
+    frame[10 + static_cast<std::size_t>(i)] =
         static_cast<std::uint8_t>(crc >> (24 - 8 * i));
   }
 }
+
+report::BitWriter FrameArena::begin(FrameType type, std::uint8_t scheme,
+                                    net::TrafficClass trafficClass) {
+  buf_.clear();
+  return beginFrame(buf_, type, scheme, trafficClass);
+}
+
+void FrameArena::finish(const report::BitWriter& w) { finishFrame(buf_, 0, w); }
 
 std::span<const std::uint8_t> FrameArena::payload() const {
   MCI_CHECK(buf_.size() >= kHeaderBytes) << "payload() before begin()";
@@ -191,8 +201,8 @@ std::vector<std::uint8_t> encodeHello(const Hello& m) {
   return w.finish();
 }
 
-std::optional<Hello> decodeHello(const std::vector<std::uint8_t>& payload) {
-  report::BitReader r(payload);
+std::optional<Hello> decodeHello(std::span<const std::uint8_t> payload) {
+  report::BitReader r(payload.data(), payload.size());
   Hello m;
   m.udpPort = static_cast<std::uint16_t>(r.read(16));
   m.audit = r.read(8) != 0;
@@ -272,8 +282,8 @@ std::vector<std::uint8_t> encodeQueryRequest(const QueryRequest& m) {
 }
 
 std::optional<QueryRequest> decodeQueryRequest(
-    const std::vector<std::uint8_t>& payload) {
-  report::BitReader r(payload);
+    std::span<const std::uint8_t> payload) {
+  report::BitReader r(payload.data(), payload.size());
   QueryRequest m;
   const std::uint64_t count = r.read(16);
   if (!r.fits(count, 32)) return std::nullopt;
@@ -285,11 +295,15 @@ std::optional<QueryRequest> decodeQueryRequest(
   return m;
 }
 
-std::vector<std::uint8_t> encodeDataItem(const DataItem& m) {
-  report::BitWriter w;
+void encodeDataItemInto(const DataItem& m, report::BitWriter& w) {
   w.write(m.item, 32);
   w.write(m.version, 32);
   w.write(doubleBits(m.readTime), 64);
+}
+
+std::vector<std::uint8_t> encodeDataItem(const DataItem& m) {
+  report::BitWriter w;
+  encodeDataItemInto(m, w);
   return w.finish();
 }
 
@@ -321,8 +335,8 @@ std::vector<std::uint8_t> encodeCheck(const Check& m) {
   return w.finish();
 }
 
-std::optional<Check> decodeCheck(const std::vector<std::uint8_t>& payload) {
-  report::BitReader r(payload);
+std::optional<Check> decodeCheck(std::span<const std::uint8_t> payload) {
+  report::BitReader r(payload.data(), payload.size());
   Check m;
   m.tlb = bitsDouble(r.read(64));
   m.epoch = r.read(64);
@@ -340,10 +354,14 @@ std::optional<Check> decodeCheck(const std::vector<std::uint8_t>& payload) {
   return m;
 }
 
-std::vector<std::uint8_t> encodeCheckAck(const CheckAck& m) {
-  report::BitWriter w;
+void encodeCheckAckInto(const CheckAck& m, report::BitWriter& w) {
   w.write(m.epoch, 64);
   w.write(doubleBits(m.asOf), 64);
+}
+
+std::vector<std::uint8_t> encodeCheckAck(const CheckAck& m) {
+  report::BitWriter w;
+  encodeCheckAckInto(m, w);
   return w.finish();
 }
 
@@ -392,8 +410,8 @@ std::vector<std::uint8_t> encodeAudit(const Audit& m) {
   return w.finish();
 }
 
-std::optional<Audit> decodeAudit(const std::vector<std::uint8_t>& payload) {
-  report::BitReader r(payload);
+std::optional<Audit> decodeAudit(std::span<const std::uint8_t> payload) {
+  report::BitReader r(payload.data(), payload.size());
   Audit m;
   m.item = static_cast<db::ItemId>(r.read(32));
   m.version = static_cast<db::Version>(r.read(32));
@@ -437,9 +455,8 @@ std::vector<std::uint8_t> encodeHandoff(const Handoff& m) {
   return w.finish();
 }
 
-std::optional<Handoff> decodeHandoff(
-    const std::vector<std::uint8_t>& payload) {
-  report::BitReader r(payload);
+std::optional<Handoff> decodeHandoff(std::span<const std::uint8_t> payload) {
+  report::BitReader r(payload.data(), payload.size());
   Handoff m;
   m.mapVersion = static_cast<std::uint32_t>(r.read(32));
   m.sourceShard = static_cast<std::uint16_t>(r.read(16));

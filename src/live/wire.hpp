@@ -98,6 +98,20 @@ struct FrameView {
     FrameType type, std::uint8_t scheme, net::TrafficClass trafficClass,
     std::span<const std::uint8_t> payload);
 
+/// Appends a frame header to `buf` (length and CRC zeroed) and returns a
+/// report::BitWriter that appends payload bits right after it. Nothing
+/// before the header is touched, so a send queue can take frame after frame
+/// in place, with no payload vector per frame.
+[[nodiscard]] MCI_HOT report::BitWriter beginFrame(
+    std::vector<std::uint8_t>& buf, FrameType type, std::uint8_t scheme,
+    net::TrafficClass trafficClass);
+
+/// Patches the length and CRC of the frame beginFrame() started at
+/// buf[start]; `w` must be the writer it returned. The frame bytes are then
+/// exactly what encodeFrame() produces for the same payload.
+MCI_HOT void finishFrame(std::vector<std::uint8_t>& buf, std::size_t start,
+                         const report::BitWriter& w);
+
 /// Encode-once frame buffer for the per-tick IR fan-out. begin() starts a
 /// frame and hands back a report::BitWriter that appends payload bits
 /// directly after the 14 header bytes; finish() patches the length and CRC
@@ -255,7 +269,7 @@ struct HandoffAck {
 
 [[nodiscard]] std::vector<std::uint8_t> encodeHello(const Hello& m);
 [[nodiscard]] std::optional<Hello> decodeHello(
-    const std::vector<std::uint8_t>& payload);
+    std::span<const std::uint8_t> payload);
 
 [[nodiscard]] std::vector<std::uint8_t> encodeWelcome(const Welcome& m);
 [[nodiscard]] std::optional<Welcome> decodeWelcome(
@@ -264,28 +278,33 @@ struct HandoffAck {
 [[nodiscard]] std::vector<std::uint8_t> encodeQueryRequest(
     const QueryRequest& m);
 /// Appends the QueryRequest payload for `items` to `w` (typically a
-/// FrameArena writer): the allocation-free encoder the swarm mux batches
+/// beginFrame() writer): the allocation-free encoder the swarm mux batches
 /// many clients' fetches through. encodeQueryRequest routes through this,
 /// so the two can never drift. Requires items.size() <= 65535 (the wire's
 /// 16-bit count); callers split larger batches.
 MCI_HOT void encodeQueryRequestInto(std::span<const db::ItemId> items,
                                     report::BitWriter& w);
 [[nodiscard]] std::optional<QueryRequest> decodeQueryRequest(
-    const std::vector<std::uint8_t>& payload);
+    std::span<const std::uint8_t> payload);
 
 [[nodiscard]] std::vector<std::uint8_t> encodeDataItem(const DataItem& m);
+/// Appends the DataItem payload to `w`; encodeDataItem routes through this.
+/// The server encodes every fetch reply straight into its send queue.
+MCI_HOT void encodeDataItemInto(const DataItem& m, report::BitWriter& w);
 [[nodiscard]] std::optional<DataItem> decodeDataItem(
     const std::vector<std::uint8_t>& payload);
 
 [[nodiscard]] std::vector<std::uint8_t> encodeCheck(const Check& m);
 /// Appends the Check payload to `w`; encodeCheck routes through this. The
 /// adaptive Tlb feedback (empty `entries`) is the swarm's steady uplink
-/// shape, sent through a FrameArena without allocating.
+/// shape, encoded into the mux's send queue without allocating.
 MCI_HOT void encodeCheckInto(const Check& m, report::BitWriter& w);
 [[nodiscard]] std::optional<Check> decodeCheck(
-    const std::vector<std::uint8_t>& payload);
+    std::span<const std::uint8_t> payload);
 
 [[nodiscard]] std::vector<std::uint8_t> encodeCheckAck(const CheckAck& m);
+/// Appends the CheckAck payload to `w`; encodeCheckAck routes through this.
+MCI_HOT void encodeCheckAckInto(const CheckAck& m, report::BitWriter& w);
 [[nodiscard]] std::optional<CheckAck> decodeCheckAck(
     const std::vector<std::uint8_t>& payload);
 
@@ -296,7 +315,7 @@ MCI_HOT void encodeCheckInto(const Check& m, report::BitWriter& w);
 
 [[nodiscard]] std::vector<std::uint8_t> encodeAudit(const Audit& m);
 [[nodiscard]] std::optional<Audit> decodeAudit(
-    const std::vector<std::uint8_t>& payload);
+    std::span<const std::uint8_t> payload);
 
 [[nodiscard]] std::vector<std::uint8_t> encodeMapUpdate(const MapUpdate& m);
 /// Arena variant for the cutover fan-out: encode once, send to every conn.
@@ -310,7 +329,7 @@ void encodeMapUpdateInto(const MapUpdate& m, report::BitWriter& w);
 [[nodiscard]] std::vector<std::uint8_t> encodeHandoff(const Handoff& m);
 void encodeHandoffInto(const Handoff& m, report::BitWriter& w);
 [[nodiscard]] std::optional<Handoff> decodeHandoff(
-    const std::vector<std::uint8_t>& payload);
+    std::span<const std::uint8_t> payload);
 
 [[nodiscard]] std::vector<std::uint8_t> encodeHandoffAck(const HandoffAck& m);
 [[nodiscard]] std::optional<HandoffAck> decodeHandoffAck(

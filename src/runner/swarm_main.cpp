@@ -121,6 +121,7 @@ struct ReshardPlan {
 struct SwarmPhaseResult {
   swarm::SwarmStats stats;
   swarm::MuxStats mux;
+  live::ServerStats server;  ///< summed over the cluster's shards
   metrics::Hist aoiMs;
   metrics::Hist latencyMs;
   double wallSeconds = 0;
@@ -134,6 +135,31 @@ struct SwarmPhaseResult {
   double tailHitRatio = -1.0;
   bool sound = false;
 };
+
+/// Prints, per shard, the update transactions the server fired against
+/// the configured count (elapsed model seconds / mean inter-arrival), and
+/// warns below 90%. The update timer re-arms after each firing, so a busy
+/// reactor silently delivers fewer updates than configured. Only the first
+/// `shards` shards are listed: they run from the start, while a reshard's
+/// joiners start mid-run on the cluster's clock.
+void reportUpdateDelivery(const live::Cluster& cluster, std::uint32_t shards,
+                          double meanUpdateInterarrival) {
+  for (std::uint32_t s = 0; s < shards && s < cluster.shardCount(); ++s) {
+    const live::BroadcastServer& server = cluster.server(s);
+    const double configured =
+        server.clock().nowModel() / meanUpdateInterarrival;
+    const auto delivered =
+        static_cast<double>(server.stats().updateTransactions);
+    const double frac = configured > 0 ? delivered / configured : 1.0;
+    std::fprintf(stderr,
+                 "mci_swarm: shard %u update transactions: %.0f delivered of "
+                 "%.0f configured (%.1f%%)%s\n",
+                 s, delivered, configured, 100.0 * frac,
+                 frac < 0.9 ? " -- WARNING: below 90%, the busy reactor is "
+                              "delaying the update timer"
+                            : "");
+  }
+}
 
 /// The swarm phase: cluster + emulator on one reactor until `simTime`
 /// model seconds elapse on the report stream.
@@ -218,6 +244,7 @@ SwarmPhaseResult runSwarm(const core::SimConfig& cfg, double timeScale,
   reactor.run();
   (void)reactor.cancelTimer(tick);
   const std::uint64_t steadyAllocsEnd = em.mux().stats().hotAllocs;
+  reportUpdateDelivery(cluster, shards, cfg.meanUpdateInterarrival);
 
   SwarmPhaseResult r;
   std::uint64_t occ = 0;
@@ -225,6 +252,7 @@ SwarmPhaseResult runSwarm(const core::SimConfig& cfg, double timeScale,
   r.meanOccupancy = static_cast<double>(occ) / em.state().clients;
   r.stats = em.stats();
   r.mux = em.mux().stats();
+  r.server = cluster.totalStats();
   r.aoiMs = em.aoiHistMs();
   r.latencyMs = em.latencyHistMs();
   r.wallSeconds = timer.seconds();
@@ -455,6 +483,17 @@ int main(int argc, char** argv) {
       static_cast<double>(sw.memoryBytes) / clients);
   put("mean_occupancy", sw.meanOccupancy);
   put("dozes", static_cast<double>(sw.stats.dozes));
+  // Kernel entries of the corked TCP paths: server sends per fetched item,
+  // and swarm uplink sends per frame (query batches and checks).
+  put("server_tcp_sends_per_item",
+      sw.mux.dataItems > 0 ? static_cast<double>(sw.server.tcpSendCalls) /
+                                 static_cast<double>(sw.mux.dataItems)
+                           : 0.0);
+  const std::uint64_t uplinkFrames = sw.mux.queryFramesSent + sw.mux.checksSent;
+  put("mux_tcp_sends_per_frame",
+      uplinkFrames > 0 ? static_cast<double>(sw.mux.tcpSendCalls) /
+                             static_cast<double>(uplinkFrames)
+                       : 0.0);
   put("model_s_per_wall_s",
       sw.wallSeconds > 0 ? cfg.simTime / sw.wallSeconds : 0.0);
   if (plan.enabled) {

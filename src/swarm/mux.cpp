@@ -450,25 +450,26 @@ void UplinkMux::flushFetches() {
 }
 
 void UplinkMux::flushConnStaged(Conn& conn) {
-  if (conn.staged.empty()) return;
-  if (!conn.welcomed) return;  // server drops queries pre-Welcome; hold the
-                               // batch, handleWelcome re-invokes us
+  // Held until handleWelcome re-invokes us: the server drops queries
+  // pre-Welcome. Checks are never queued on an unwelcomed conn.
+  if (!conn.welcomed) return;
   std::size_t off = 0;
   while (off < conn.staged.size() && conn.fd >= 0) {
     const std::size_t n = std::min<std::size_t>(
         conn.staged.size() - off, opts_.maxItemsPerQueryFrame);
+    const std::size_t start = conn.out.size();
     report::BitWriter w =
-        arena_.begin(live::wire::FrameType::kQueryRequest,
-                     live::wire::kNoScheme, net::TrafficClass::kBulk);
+        live::wire::beginFrame(conn.out, live::wire::FrameType::kQueryRequest,
+                               live::wire::kNoScheme, net::TrafficClass::kBulk);
     live::wire::encodeQueryRequestInto(
         std::span<const db::ItemId>(conn.staged.data() + off, n), w);
-    arena_.finish(w);
+    live::wire::finishFrame(conn.out, start, w);
     ++stats_.queryFramesSent;
     stats_.fetchesSent += n;
-    if (!sendArena(conn)) break;
     off += n;
   }
   conn.staged.clear();
+  flushOut(conn);
 }
 
 bool UplinkMux::sendCheck(std::uint32_t shard, std::uint32_t client,
@@ -480,14 +481,16 @@ bool UplinkMux::sendCheck(std::uint32_t shard, std::uint32_t client,
   c.tlb = tlbSeconds;
   c.epoch = 0;  // FIFO correlation; the adaptive check carries no epoch
   c.sizeBits = sizeBits;
+  // Corked: the frame leaves with this tick's flushFetches(), ahead of the
+  // tick's query frame, exactly where an immediate send would have put it.
+  const std::size_t start = conn.out.size();
   report::BitWriter w =
-      arena_.begin(live::wire::FrameType::kCheck, live::wire::kNoScheme,
-                   net::TrafficClass::kControl);
+      live::wire::beginFrame(conn.out, live::wire::FrameType::kCheck,
+                             live::wire::kNoScheme, net::TrafficClass::kControl);
   live::wire::encodeCheckInto(c, w);
-  arena_.finish(w);
+  live::wire::finishFrame(conn.out, start, w);
   conn.ackQueue.push(client);
   ++stats_.checksSent;
-  (void)sendArena(conn);
   return true;
 }
 
@@ -585,38 +588,9 @@ void UplinkMux::maybeCloseDrained(Conn& conn) {
   conn.fd = -1;
 }
 
-bool UplinkMux::sendArena(Conn& conn) {
-  if (conn.fd < 0) return false;
-  if (conn.outOff >= conn.out.size()) {
-    // Empty-queue fast path: write the arena frame straight to the socket.
-    // MCI-ANALYZE-ALLOW(reactor-blocking): fd is O_NONBLOCK (dialConn)
-    const ssize_t n = ::send(conn.fd, arena_.data(), arena_.size(),
-                             MSG_NOSIGNAL);
-    if (n < 0 && errno != EAGAIN && errno != EWOULDBLOCK) {
-      dropConn(conn);
-      return false;
-    }
-    const std::size_t sent = n > 0 ? static_cast<std::size_t>(n) : 0;
-    if (sent == arena_.size()) return true;
-    conn.out.clear();
-    conn.outOff = 0;
-    // MCI-ANALYZE-ALLOW(hot-path-alloc): backlog high-water mark only
-    conn.out.insert(conn.out.end(), arena_.data() + sent,
-                    arena_.data() + arena_.size());
-  } else {
-    // MCI-ANALYZE-ALLOW(hot-path-alloc): backlog high-water mark only
-    conn.out.insert(conn.out.end(), arena_.data(),
-                    arena_.data() + arena_.size());
-  }
-  if (!conn.wantWrite) {
-    conn.wantWrite = true;
-    reactor_.modifyFd(conn.fd, EPOLLIN | EPOLLOUT);
-  }
-  return conn.fd >= 0;
-}
-
 void UplinkMux::flushOut(Conn& conn) {
   while (conn.fd >= 0 && conn.outOff < conn.out.size()) {
+    ++stats_.tcpSendCalls;
     // MCI-ANALYZE-ALLOW(reactor-blocking): fd is O_NONBLOCK (dialConn)
     const ssize_t n = ::send(conn.fd, conn.out.data() + conn.outOff,
                              conn.out.size() - conn.outOff, MSG_NOSIGNAL);
@@ -627,6 +601,7 @@ void UplinkMux::flushOut(Conn& conn) {
     }
     conn.outOff += static_cast<std::size_t>(n);
   }
+  if (conn.fd < 0) return;
   if (conn.outOff >= conn.out.size()) {
     conn.out.clear();
     conn.outOff = 0;
@@ -634,6 +609,10 @@ void UplinkMux::flushOut(Conn& conn) {
       conn.wantWrite = false;
       reactor_.modifyFd(conn.fd, EPOLLIN);
     }
+  } else if (!conn.wantWrite) {
+    // The kernel refused the tail: EPOLLOUT finishes it (onTcpIo).
+    conn.wantWrite = true;
+    reactor_.modifyFd(conn.fd, EPOLLIN | EPOLLOUT);
   }
 }
 
@@ -659,8 +638,10 @@ void UplinkMux::shutdown() {
     for (auto& connPtr : link->conns) {
       Conn& conn = *connPtr;
       if (conn.fd < 0) continue;
-      // Best-effort Bye; the close right after is the real goodbye.
-      (void)::send(conn.fd, bye.data(), bye.size(), MSG_NOSIGNAL);
+      // Best-effort Bye behind any queued tail, so it never lands inside a
+      // half-sent frame; the close right after is the real goodbye.
+      conn.out.insert(conn.out.end(), bye.begin(), bye.end());
+      flushOut(conn);
     }
   }
   closeAll();

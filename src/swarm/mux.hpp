@@ -63,6 +63,9 @@ struct MuxStats {
   std::uint64_t fetchesSent = 0;      ///< items inside those frames
   std::uint64_t dataItems = 0;
   std::uint64_t checksSent = 0;
+  /// Kernel entries the TCP uplink cost (one per send call). Checks and
+  /// fetch batches are corked: one send per connection per flush.
+  std::uint64_t tcpSendCalls = 0;
   std::uint64_t connectionsLost = 0;
   std::uint64_t mapUpdatesHeard = 0;  ///< kMapUpdate frames (any conn/downlink)
   std::uint64_t staleMapUpdates = 0;  ///< announces at or below our epoch
@@ -139,7 +142,7 @@ class Ring {
 /// state for the same seed.
 ///
 /// Steady-state traffic (fetch batches, checks, received DataItems/acks/
-/// reports) runs through preallocated arenas, rings and frame views:
+/// reports) runs through reused send queues, rings and frame views:
 /// zero allocations per client-tick once buffers reach their high-water
 /// marks. Handshake traffic (Hello/Welcome/Bye) uses the plain allocating
 /// codecs.
@@ -191,14 +194,16 @@ class UplinkMux {
   MCI_HOT void queueFetch(std::uint32_t shard, std::uint32_t client,
                           db::ItemId item, Tick tick);
 
-  /// Encodes and sends every staged fetch as per-endpoint kQueryRequest
-  /// batches (split at maxItemsPerQueryFrame).
+  /// Encodes every staged fetch as per-endpoint kQueryRequest batches
+  /// (split at maxItemsPerQueryFrame) behind the checks already queued,
+  /// then sends each connection's queue with one send call.
   MCI_HOT void flushFetches();
 
-  /// Sends one adaptive Tlb-feedback check (empty entry list) for
-  /// `client` to `shard`, on the client's endpoint. False when the
-  /// endpoint is dead or not yet welcomed (mid-flip joiner): nothing was
-  /// sent or queued, so the caller should simply retry on a later report.
+  /// Queues one adaptive Tlb-feedback check (empty entry list) for
+  /// `client` to `shard`, on the client's endpoint; it leaves with the
+  /// next flushFetches(). False when the endpoint is dead or not yet
+  /// welcomed (mid-flip joiner): nothing was queued, so the caller should
+  /// simply retry on a later report.
   [[nodiscard]] MCI_HOT bool sendCheck(std::uint32_t shard,
                                        std::uint32_t client,
                                        double tlbSeconds, double sizeBits);
@@ -224,7 +229,8 @@ class UplinkMux {
     bool draining = false;
     live::Reactor::FdHandle reg;  ///< reactor registration of fd
     live::wire::FrameBuffer in;
-    std::vector<std::uint8_t> out;  ///< unsent tail; high-water capacity
+    /// Queued frames, then the unsent tail; high-water capacity.
+    std::vector<std::uint8_t> out;
     std::size_t outOff = 0;
     bool wantWrite = false;
     Ring<PendingFetch> fetchQueue;   ///< kDataItem correlation, FIFO
@@ -263,16 +269,16 @@ class UplinkMux {
   /// epoch, re-key links_ by endpoint identity, drain removed shards, dial
   /// joiners, then hand the engine the old/new pair via Sink::onMapUpdate.
   void applyMapUpdate(const live::ShardMap& map);
-  /// Sends conn's staged fetch batch if the conn is welcomed; otherwise
-  /// leaves it staged (handleWelcome flushes it when the handshake lands).
+  /// Appends conn's staged fetch batch and flushes conn.out if the conn is
+  /// welcomed; otherwise leaves it staged (handleWelcome flushes it when
+  /// the handshake lands).
   MCI_HOT void flushConnStaged(Conn& conn);
   /// Closes a draining conn once both correlation queues are empty.
   void maybeCloseDrained(Conn& conn);
 
-  /// Sends the arena's finished frame on `conn` (direct write, queue the
-  /// unsent tail). Returns false when the connection died.
-  MCI_HOT bool sendArena(Conn& conn);
-  void flushOut(Conn& conn);
+  /// Sends conn.out until done or EAGAIN; a refused tail arms EPOLLOUT,
+  /// whose event calls this again. Every uplink send goes through here.
+  MCI_HOT void flushOut(Conn& conn);
   void dropConn(Conn& conn);
   void closeAll();
 
@@ -298,7 +304,6 @@ class UplinkMux {
 
   live::UdpBatchReceiver udpReceiver_;
   bool udpRecvFellBack_ = false;
-  live::wire::FrameArena arena_;  ///< uplink frames, capacity reused
   MuxStats stats_;
 };
 

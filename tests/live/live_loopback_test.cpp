@@ -230,6 +230,132 @@ TEST(LiveLoopback, WedgedClientNeverBlocksTheBroadcast) {
   ::close(udp);
 }
 
+/// The replies to one read burst leave corked: a 1000-item query followed
+/// by 20 checks in one write costs the server at most two sends, and the
+/// reply stream is byte for byte the frames the per-frame encoders build,
+/// in request order.
+TEST(LiveLoopback, QueryRepliesAreCorkedPerEvent) {
+  Reactor reactor;
+  ServerOptions opts;
+  opts.cfg = baseConfig(schemes::SchemeKind::kAaw);
+  opts.cfg.meanUpdateInterarrival = 1e9;  // versions stay put mid-test
+  opts.timeScale = 10.0;
+  // Room for the whole reply, so the send count measures the cork, not a
+  // small kernel buffer splitting the write.
+  opts.sendBufferBytes = 1 << 20;
+  BroadcastServer server(reactor, opts);
+
+  const int tcp = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  ASSERT_GE(tcp, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(server.tcpPort());
+  ASSERT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
+  ASSERT_EQ(::connect(tcp, reinterpret_cast<sockaddr*>(&addr), sizeof addr),
+            0);
+
+  // Reads whatever the server sent so far into `in` (non-blocking).
+  std::vector<std::uint8_t> in;
+  const auto drain = [&] {
+    std::uint8_t buf[65536];
+    for (;;) {
+      const ssize_t n = ::recv(tcp, buf, sizeof buf, MSG_DONTWAIT);
+      if (n <= 0) return;
+      in.insert(in.end(), buf, buf + n);
+    }
+  };
+  const auto runUntil = [&](std::size_t bytes) {
+    const double start = reactor.nowSeconds();
+    while (in.size() < bytes && reactor.nowSeconds() - start < 10.0) {
+      reactor.runOnce(5);
+      drain();
+    }
+  };
+
+  // Hello with udpPort 0 (no IR fan-out), then wait for the Welcome.
+  const auto hello = wire::encodeFrame(
+      wire::FrameType::kHello, wire::kNoScheme, net::TrafficClass::kControl,
+      wire::encodeHello(wire::Hello{.udpPort = 0, .audit = false}));
+  ASSERT_EQ(::send(tcp, hello.data(), hello.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(hello.size()));
+  runUntil(wire::kHeaderBytes);
+  ASSERT_GE(in.size(), wire::kHeaderBytes);
+  const std::size_t welcomeBytes = wire::frameSize(in.data(), in.size());
+  runUntil(welcomeBytes);
+  ASSERT_EQ(in.size(), welcomeBytes);
+  ASSERT_EQ(wire::decodeFrame(in.data(), in.size())->header.type,
+            wire::FrameType::kWelcome);
+  in.clear();
+
+  // One write: the query, then 20 checks.
+  wire::QueryRequest query;
+  for (db::ItemId i = 0; i < 1000; ++i) query.items.push_back(i);
+  std::vector<std::uint8_t> burst = wire::encodeFrame(
+      wire::FrameType::kQueryRequest, wire::kNoScheme,
+      net::TrafficClass::kBulk, wire::encodeQueryRequest(query));
+  constexpr int kChecks = 20;
+  for (int i = 0; i < kChecks; ++i) {
+    wire::Check c;
+    c.tlb = 0.001 * i;
+    c.epoch = static_cast<std::uint64_t>(i);
+    c.sizeBits = 64;
+    const auto f =
+        wire::encodeFrame(wire::FrameType::kCheck, wire::kNoScheme,
+                          net::TrafficClass::kControl, wire::encodeCheck(c));
+    burst.insert(burst.end(), f.begin(), f.end());
+  }
+  const std::uint64_t sendsBefore = server.stats().tcpSendCalls;
+  ASSERT_EQ(::send(tcp, burst.data(), burst.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(burst.size()));
+
+  const std::size_t itemFrameBytes = wire::kHeaderBytes + 16;
+  const std::size_t ackFrameBytes = wire::kHeaderBytes + 16;
+  const std::size_t replyBytes =
+      query.items.size() * itemFrameBytes + kChecks * ackFrameBytes;
+  runUntil(replyBytes);
+  ASSERT_EQ(in.size(), replyBytes);
+  EXPECT_EQ(server.stats().queryRequests, 1u);
+  EXPECT_EQ(server.stats().checksReceived, static_cast<std::uint64_t>(kChecks));
+  EXPECT_EQ(server.stats().framesDropped, 0u);
+  EXPECT_LE(server.stats().tcpSendCalls - sendsBefore, 2u)
+      << "one read burst should cost one send (two if it split)";
+
+  // Rebuild the stream with the per-frame encoders: items in request order
+  // at their current versions, one readTime for the whole query, then the
+  // acks in check order.
+  const auto readTime =
+      wire::decodeDataItem(wire::decodeFrame(in.data(), itemFrameBytes)->payload)
+          ->readTime;
+  std::vector<std::uint8_t> expected;
+  for (const db::ItemId item : query.items) {
+    wire::DataItem d;
+    d.item = item;
+    d.version = server.database().currentVersion(item);
+    d.readTime = readTime;
+    const auto f =
+        wire::encodeFrame(wire::FrameType::kDataItem, wire::kNoScheme,
+                          net::TrafficClass::kBulk, wire::encodeDataItem(d));
+    expected.insert(expected.end(), f.begin(), f.end());
+  }
+  std::size_t off = query.items.size() * itemFrameBytes;
+  for (int i = 0; i < kChecks; ++i) {
+    const auto got = wire::decodeFrame(in.data() + off, ackFrameBytes);
+    ASSERT_TRUE(got.has_value()) << "ack " << i;
+    const auto ack = wire::decodeCheckAck(got->payload);
+    ASSERT_TRUE(ack.has_value()) << "ack " << i;
+    EXPECT_EQ(ack->epoch, static_cast<std::uint64_t>(i));
+    EXPECT_GE(ack->asOf, readTime);
+    const auto f = wire::encodeFrame(wire::FrameType::kCheckAck,
+                                     wire::kNoScheme,
+                                     net::TrafficClass::kControl,
+                                     wire::encodeCheckAck(*ack));
+    expected.insert(expected.end(), f.begin(), f.end());
+    off += ackFrameBytes;
+  }
+  EXPECT_EQ(in, expected);
+  ::close(tcp);
+}
+
 /// The K=1 shard pin: a daemon carrying an explicit (0 of 1) shard spec —
 /// bit-for-bit the default deployment — must emit exactly the frames the
 /// unsharded scheme stack produces. Rebuilds a fresh scheme over the

@@ -372,6 +372,39 @@ TEST(FrameArena, MatchesEncodeFrameByteForByte) {
   EXPECT_EQ(decoded->payload, payload);
 }
 
+// The corked send queues append frame after frame in place behind bytes
+// already queued: each must equal encodeFrame over the allocating encoder.
+TEST(FrameArena, BeginFrameAppendsBehindQueuedBytes) {
+  std::vector<std::uint8_t> queue = {0xAB, 0xCD, 0xEF};  // an unsent tail
+  std::vector<std::uint8_t> expected = queue;
+
+  const live::wire::DataItem d{.item = 42, .version = 7, .readTime = 1.5};
+  std::size_t start = queue.size();
+  report::BitWriter w =
+      live::wire::beginFrame(queue, live::wire::FrameType::kDataItem,
+                             live::wire::kNoScheme, net::TrafficClass::kBulk);
+  live::wire::encodeDataItemInto(d, w);
+  live::wire::finishFrame(queue, start, w);
+  const std::vector<std::uint8_t> item = live::wire::encodeFrame(
+      live::wire::FrameType::kDataItem, live::wire::kNoScheme,
+      net::TrafficClass::kBulk, live::wire::encodeDataItem(d));
+  expected.insert(expected.end(), item.begin(), item.end());
+
+  const live::wire::CheckAck a{.epoch = 3, .asOf = 2.25};
+  start = queue.size();
+  w = live::wire::beginFrame(queue, live::wire::FrameType::kCheckAck,
+                             live::wire::kNoScheme,
+                             net::TrafficClass::kControl);
+  live::wire::encodeCheckAckInto(a, w);
+  live::wire::finishFrame(queue, start, w);
+  const std::vector<std::uint8_t> ack = live::wire::encodeFrame(
+      live::wire::FrameType::kCheckAck, live::wire::kNoScheme,
+      net::TrafficClass::kControl, live::wire::encodeCheckAck(a));
+  expected.insert(expected.end(), ack.begin(), ack.end());
+
+  EXPECT_EQ(queue, expected);
+}
+
 TEST(FrameArena, ReuseAcrossTicksPatchesLengthAndCrcCorrectly) {
   const SizeModel sizes = model(512);
   const ReportCodec codec(sizes);

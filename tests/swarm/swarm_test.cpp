@@ -18,6 +18,7 @@
 #include "report/codec.hpp"
 #include "report/ts_report.hpp"
 #include "swarm/engine.hpp"
+#include "swarm/mux.hpp"
 
 namespace mci::swarm {
 namespace {
@@ -190,6 +191,101 @@ TEST(Swarm, NonAdaptiveServerIsRejected) {
   core::SimConfig cfg = baseConfig(schemes::SchemeKind::kTs);
   cfg.simTime = 50.0;
   EXPECT_THROW(runSwarm(cfg, 400.0, 10, 1, 1), std::runtime_error);
+}
+
+/// Records what the mux hands up, in arrival order.
+class RecordingSink : public SwarmSink {
+ public:
+  struct Event {
+    std::uint32_t client = 0;
+    bool ack = false;  ///< kCheckAck; otherwise a kDataItem
+  };
+
+  void onWelcome(const live::wire::Welcome& /*w*/) override {}
+  void onMuxReady() override {}
+  void onReportPayload(std::uint32_t /*shard*/, const std::uint8_t* /*data*/,
+                       std::size_t /*len*/) override {}
+  void onDataItem(std::uint32_t /*shard*/, std::uint32_t client,
+                  db::ItemId /*item*/, db::Version /*version*/,
+                  Tick /*fetchTick*/, Tick /*readTick*/) override {
+    events.push_back({client, false});
+  }
+  void onCheckAck(std::uint32_t /*shard*/, std::uint32_t client,
+                  Tick /*asOfTick*/) override {
+    events.push_back({client, true});
+  }
+  void onConnectionLost(std::uint32_t /*shard*/) override { lost = true; }
+
+  std::vector<Event> events;
+  bool lost = false;
+};
+
+// Checks queued during a tick leave with that tick's fetch batch: one send
+// per connection per flush, checks ahead of the query frame, exactly the
+// order an immediate send per check would have produced.
+TEST(Swarm, ChecksRideTheFetchFlush) {
+  core::SimConfig cfg = baseConfig(schemes::SchemeKind::kAaw);
+  cfg.numClients = 8;
+  live::Reactor reactor;
+  live::ClusterOptions co;
+  co.cfg = cfg;
+  co.timeScale = 100.0;
+  co.shardCount = 1;
+  live::Cluster cluster(reactor, co);
+
+  RecordingSink sink;
+  UplinkMux::Options mo;
+  mo.port = cluster.seedPort();
+  mo.endpointsPerShard = 2;
+  UplinkMux mux(reactor, sink, mo);
+  mux.connect();
+  const double start = reactor.nowSeconds();
+  while (!mux.ready() && reactor.nowSeconds() - start < 10.0) {
+    reactor.runOnce(5);
+  }
+  ASSERT_TRUE(mux.ready());
+
+  // One tick's uplink: clients 0..3 (endpoints 0, 1, 0, 1) each send a Tlb
+  // check, then each misses two items.
+  constexpr std::uint32_t kClients = 4;
+  const std::uint64_t before = mux.stats().tcpSendCalls;
+  for (std::uint32_t c = 0; c < kClients; ++c) {
+    ASSERT_TRUE(mux.sendCheck(0, c, 0.001 * (c + 1), 64.0));
+  }
+  EXPECT_EQ(mux.stats().tcpSendCalls, before) << "checks wait for the flush";
+  for (std::uint32_t c = 0; c < kClients; ++c) {
+    mux.queueFetch(0, c, 10 * c, 0);
+    mux.queueFetch(0, c, 10 * c + 1, 0);
+  }
+  mux.flushFetches();
+  EXPECT_EQ(mux.stats().tcpSendCalls - before, 2u)
+      << "one send per connection per flush";
+  mux.flushFetches();  // nothing queued: no send
+  EXPECT_EQ(mux.stats().tcpSendCalls - before, 2u);
+
+  const std::size_t want = kClients + 2 * kClients;
+  while (sink.events.size() < want && reactor.nowSeconds() - start < 20.0) {
+    reactor.runOnce(5);
+  }
+  ASSERT_EQ(sink.events.size(), want);
+  EXPECT_FALSE(sink.lost);
+  EXPECT_EQ(cluster.server(0).stats().checksReceived, kClients);
+  EXPECT_EQ(cluster.server(0).stats().queryRequests, 2u);
+  // The server answers each connection in the order it read the frames, so
+  // on every endpoint all check acks arrive before the first data item.
+  for (std::uint32_t e = 0; e < mo.endpointsPerShard; ++e) {
+    bool sawItem = false;
+    for (const RecordingSink::Event& ev : sink.events) {
+      if (ev.client % mo.endpointsPerShard != e) continue;
+      if (ev.ack) {
+        EXPECT_FALSE(sawItem) << "endpoint " << e << ": check after query";
+      } else {
+        sawItem = true;
+      }
+    }
+    EXPECT_TRUE(sawItem) << "endpoint " << e;
+  }
+  mux.shutdown();
 }
 
 // Pins the engine's in-place TS parse (parseTsBody, the very function

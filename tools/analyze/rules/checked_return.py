@@ -27,6 +27,8 @@ DESCRIPTION = (
 # does not fire.
 WATCHED: List[Tuple[str, Optional[str]]] = [
     ("sendFrame", "BroadcastServer"),
+    ("sendEncoded", "BroadcastServer"),
+    ("commitFrame", "BroadcastServer"),
     ("sendFrame", "ClientAgent"),
     ("next", "FrameBuffer"),
     ("cancel", "EventQueue"),
