@@ -14,6 +14,7 @@ int main(int argc, char** argv) {
   runner::Cli cli(argc, argv);
   const double simTime = cli.getDouble("simtime", 50000.0);
   const auto seed = static_cast<std::uint64_t>(cli.getInt("seed", 42));
+  if (cli.rejectUnknownArgs("bench_ablation_disconnect_model")) return 2;
 
   std::printf(
       "# Disconnect model robustness (UNIFORM, N=10000, disc=400)\n"

@@ -18,6 +18,7 @@ int main(int argc, char** argv) {
   const auto seed = static_cast<std::uint64_t>(cli.getInt("seed", 42));
   const double txJpb = cli.getDouble("txjpb", 1e-5);
   const double rxJpb = cli.getDouble("rxjpb", 1e-6);
+  if (cli.rejectUnknownArgs("bench_ablation_energy")) return 2;
 
   for (std::size_t dbSize : {std::size_t{10000}, std::size_t{80000}}) {
     std::printf(

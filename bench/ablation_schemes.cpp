@@ -16,6 +16,7 @@ int main(int argc, char** argv) {
   runner::Cli cli(argc, argv);
   const double simTime = cli.getDouble("simtime", 50000.0);
   const auto seed = static_cast<std::uint64_t>(cli.getInt("seed", 42));
+  if (cli.rejectUnknownArgs("bench_ablation_schemes")) return 2;
 
   for (core::WorkloadKind wl :
        {core::WorkloadKind::kUniform, core::WorkloadKind::kHotCold}) {

@@ -18,6 +18,7 @@ int main(int argc, char** argv) {
   runner::Cli cli(argc, argv);
   const double simTime = cli.getDouble("simtime", 50000.0);
   const auto seed = static_cast<std::uint64_t>(cli.getInt("seed", 42));
+  if (cli.rejectUnknownArgs("bench_ablation_sensitivity")) return 2;
 
   std::printf("# Sensitivity to the broadcast period L (UNIFORM, N=10000)\n");
   metrics::Table tL({"L (s)", "AAW", "TS-check", "BS", "AAW latency",

@@ -15,6 +15,7 @@ int main(int argc, char** argv) {
   runner::Cli cli(argc, argv);
   const double simTime = cli.getDouble("simtime", 50000.0);
   const auto seed = static_cast<std::uint64_t>(cli.getInt("seed", 42));
+  if (cli.rejectUnknownArgs("bench_ablation_window")) return 2;
 
   const int windows[] = {1, 2, 5, 10, 20, 50};
   const schemes::SchemeKind kinds[] = {schemes::SchemeKind::kTs,

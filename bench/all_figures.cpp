@@ -21,9 +21,7 @@ int main(int argc, char** argv) {
   opts.replications = static_cast<unsigned>(cli.getInt("reps", 1));
   opts.quiet = cli.has("quiet") || isatty(fileno(stderr)) == 0;
   const std::string outdir = cli.getStr("outdir", "");
-  for (const auto& unknown : cli.unknownArgs()) {
-    std::fprintf(stderr, "warning: unknown flag --%s\n", unknown.c_str());
-  }
+  if (cli.rejectUnknownArgs("bench_all_figures")) return 2;
 
   for (const runner::FigureSpec& spec : runner::paperFigures()) {
     const metrics::FigureData data = runner::runFigure(spec, opts);

@@ -20,9 +20,7 @@ int runFigureMain(int figureNumber, int argc, char** argv) {
   opts.replications = static_cast<unsigned>(cli.getInt("reps", 1));
   const bool csv = cli.has("csv");
   const bool json = cli.has("json");
-  for (const auto& unknown : cli.unknownArgs()) {
-    std::fprintf(stderr, "warning: unknown flag --%s\n", unknown.c_str());
-  }
+  if (cli.rejectUnknownArgs(argv[0])) return 2;
 
   const runner::FigureSpec& spec = runner::figureByNumber(figureNumber);
   const metrics::FigureData data = runner::runFigure(spec, opts);

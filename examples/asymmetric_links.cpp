@@ -21,9 +21,7 @@ int main(int argc, char** argv) {
   base.seed = static_cast<std::uint64_t>(cli.getInt("seed", 42));
   base.dbSize = 5000;
   base.meanDisconnectTime = 4000.0;
-  for (const auto& unknown : cli.unknownArgs()) {
-    std::fprintf(stderr, "warning: unknown flag --%s\n", unknown.c_str());
-  }
+  if (cli.rejectUnknownArgs("asymmetric_links")) return 2;
 
   std::printf("Throughput across uplink:downlink asymmetry (UNIFORM)\n\n");
   metrics::Table t({"uplink bps", "ratio", "AAW", "TS-check", "AAW wins by",

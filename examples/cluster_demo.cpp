@@ -43,6 +43,7 @@ int main(int argc, char** argv) {
   opts.cfg.seed = 2026;
   opts.timeScale = cli.getDouble("timescale", 300.0);
   const double duration = cli.getDouble("duration", 2400.0);
+  if (cli.rejectUnknownArgs("cluster_demo")) return 2;
 
   live::Reactor reactor;
   live::Cluster cluster(reactor, opts);

@@ -23,9 +23,7 @@ int main(int argc, char** argv) {
   base.dbSize = static_cast<std::size_t>(cli.getInt("dbsize", 10000));
   base.workload = core::WorkloadKind::kHotCold;  // cache worth salvaging
   base.disconnectProb = 0.2;
-  for (const auto& unknown : cli.unknownArgs()) {
-    std::fprintf(stderr, "warning: unknown flag --%s\n", unknown.c_str());
-  }
+  if (cli.rejectUnknownArgs("disconnection_study")) return 2;
 
   std::printf("How long dozes treat a client's cache, per scheme\n");
   std::printf("(HOTCOLD, %s)\n\n", base.describe().c_str());

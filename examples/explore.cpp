@@ -45,9 +45,7 @@ int main(int argc, char** argv) {
   const bool asJson = cli.has("json");
   const auto traceTail = static_cast<std::size_t>(cli.getInt("trace", 0));
   if (traceTail > 0) cfg.traceCapacity = traceTail;
-  for (const auto& unknown : cli.unknownArgs()) {
-    std::fprintf(stderr, "warning: unknown flag --%s\n", unknown.c_str());
-  }
+  if (cli.rejectUnknownArgs("explore")) return 2;
 
   const core::AnalyticModel theory = core::analyze(cfg);
   core::Simulation sim(cfg);

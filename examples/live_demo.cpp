@@ -39,6 +39,7 @@ int main(int argc, char** argv) {
   serverOpts.cfg.seed = 2026;
   serverOpts.timeScale = cli.getDouble("timescale", 300.0);
   const double duration = cli.getDouble("duration", 2400.0);
+  if (cli.rejectUnknownArgs("live_demo")) return 2;
 
   live::Reactor reactor;
   live::BroadcastServer server(reactor, serverOpts);

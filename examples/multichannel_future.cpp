@@ -20,9 +20,7 @@ int main(int argc, char** argv) {
   const double budget = cli.getDouble("budget", 20000.0);
   const auto dbSize = static_cast<std::size_t>(cli.getInt("dbsize", 40000));
   const auto seed = static_cast<std::uint64_t>(cli.getInt("seed", 42));
-  for (const auto& unknown : cli.unknownArgs()) {
-    std::fprintf(stderr, "warning: unknown flag --%s\n", unknown.c_str());
-  }
+  if (cli.rejectUnknownArgs("multichannel_future")) return 2;
 
   std::printf(
       "Splitting a %.0f bps downlink budget between broadcast and dedicated\n"

@@ -26,9 +26,7 @@ int main(int argc, char** argv) {
   if (cli.getStr("workload", "UNIFORM") == "HOTCOLD") {
     base.workload = core::WorkloadKind::kHotCold;
   }
-  for (const std::string& unknown : cli.unknownArgs()) {
-    std::fprintf(stderr, "warning: unknown flag --%s\n", unknown.c_str());
-  }
+  if (cli.rejectUnknownArgs("quickstart")) return 2;
 
   std::printf("mobicache quickstart\n%s\n\n", base.describe().c_str());
 

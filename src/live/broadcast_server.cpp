@@ -1,15 +1,12 @@
 #include "live/broadcast_server.hpp"
 
 #include <arpa/inet.h>
-#include <fcntl.h>
 #include <netinet/tcp.h>
 #include <sys/epoll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
-#include <array>
-#include <cerrno>
 #include <cmath>
 #include <span>
 #include <stdexcept>
@@ -94,12 +91,7 @@ BroadcastServer::~BroadcastServer() {
     ::close(fd);
   }
   conns_.clear();
-  for (auto& ch : handoffChannels_) {
-    if (ch->fd >= 0) {
-      reactor_.removeFd(ch->reg);
-      ::close(ch->fd);
-    }
-  }
+  for (auto& ch : handoffChannels_) closeHandoffChannel(*ch, false);
   handoffChannels_.clear();
   if (listenFd_ >= 0) {
     reactor_.removeFd(listenReg_);
@@ -224,6 +216,7 @@ void BroadcastServer::onAcceptable() {
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &nodelay, sizeof nodelay);
     ++stats_.connectionsAccepted;
     Conn conn;
+    conn.stream.fd = fd;
     conn.peer = peer;
     const auto emplaced = conns_.emplace(fd, std::move(conn));
     emplaced.first->second.reg = reactor_.addFd(
@@ -239,43 +232,30 @@ void BroadcastServer::onConnEvent(int fd, std::uint32_t events) {
     closeConn(fd);
     return;
   }
-  if ((events & EPOLLOUT) != 0) {
-    flushConn(fd, it->second);
-    it = conns_.find(fd);
-    if (it == conns_.end()) return;
-  }
+  Conn& conn = it->second;  // std::map: stable until closeConn erases it
+  if ((events & EPOLLOUT) != 0 && !flushConn(fd, conn)) return;
   if ((events & EPOLLIN) == 0) return;
 
-  std::uint8_t buf[65536];
-  for (;;) {
-    // MCI-ANALYZE-ALLOW(reactor-blocking): fd was accept4'd with
-    const ssize_t n = ::recv(fd, buf, sizeof buf, 0);  // SOCK_NONBLOCK
-    if (n > 0) {
-      it->second.in.append(buf, static_cast<std::size_t>(n));
-      if (n < static_cast<ssize_t>(sizeof buf)) break;
-      continue;
-    }
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
+  // Cork: every reply to this read burst is appended to the stream's queue
+  // and goes out in one send below (or whenever kCorkBytes pile up),
+  // instead of one send per frame. The frames and their order are
+  // unchanged.
+  conn.corked = true;
+  const StreamConn::ReadStatus st =
+      conn.stream.read([this, fd, &conn](const wire::FrameView& frame) {
+        handleFrame(fd, conn, frame);
+        return conns_.find(fd) != conns_.end();  // false: handler closed it
+      });
+  if (st == StreamConn::ReadStatus::kStopped) return;
+  if (st == StreamConn::ReadStatus::kClosed) {
     closeConn(fd);  // orderly EOF or hard error
     return;
   }
-
-  // Cork: every reply to this read burst is appended to conn.out and goes
-  // out in one send below (or whenever kCorkBytes pile up), instead of one
-  // send per frame. The frames and their order are unchanged.
-  it->second.corked = true;
-  while (std::optional<wire::FrameView> frame = it->second.in.nextView()) {
-    handleFrame(fd, it->second, *frame);
-    it = conns_.find(fd);
-    if (it == conns_.end()) return;  // handler closed the connection
-  }
-  Conn& conn = it->second;
   conn.corked = false;
-  stats_.badFrames += conn.in.badFrames() - conn.badCounted;
-  conn.badCounted = conn.in.badFrames();
-  const bool corrupt = conn.in.corrupt();
-  flushConn(fd, conn);  // on hard error this closeConn()s, invalidating conn
-  if (corrupt && conns_.find(fd) != conns_.end()) {
+  stats_.badFrames += conn.stream.in.badFrames() - conn.badCounted;
+  conn.badCounted = conn.stream.in.badFrames();
+  if (!flushConn(fd, conn)) return;
+  if (st == StreamConn::ReadStatus::kCorrupt) {
     ++stats_.badFrames;
     closeConn(fd);
   }
@@ -312,8 +292,7 @@ void BroadcastServer::handleFrame(int fd, Conn& conn,
     case wire::FrameType::kBye:
       // Replies to the frames before the Bye still leave, as they would
       // have uncorked; flushConn closes the connection itself on error.
-      flushConn(fd, conn);
-      closeConn(fd);
+      if (flushConn(fd, conn)) closeConn(fd);
       return;
     default:
       ++stats_.badFrames;  // a type the server never receives
@@ -486,7 +465,8 @@ void BroadcastServer::handleAudit(Conn& conn, const wire::Audit& a) {
 void BroadcastServer::closeConn(int fd) {
   auto it = conns_.find(fd);
   if (it == conns_.end()) return;
-  stats_.badFrames += it->second.in.badFrames() - it->second.badCounted;
+  stats_.badFrames +=
+      it->second.stream.in.badFrames() - it->second.badCounted;
   if (it->second.welcomed) freeIds_.push_back(it->second.clientId);
   reactor_.removeFd(it->second.reg);
   ::close(fd);
@@ -496,12 +476,9 @@ void BroadcastServer::closeConn(int fd) {
 
 bool BroadcastServer::sendFrame(int fd, Conn& conn, wire::FrameType type,
                                 net::TrafficClass trafficClass,
-                                const std::vector<std::uint8_t>& payload) {
-  const std::size_t start = conn.out.size();
-  const std::array<std::uint8_t, wire::kHeaderBytes> hdr =
-      wire::encodeFrameHeader(type, wire::kNoScheme, trafficClass, payload);
-  conn.out.insert(conn.out.end(), hdr.begin(), hdr.end());
-  conn.out.insert(conn.out.end(), payload.begin(), payload.end());
+                                std::span<const std::uint8_t> payload) {
+  const std::size_t start = conn.stream.out.size();
+  conn.stream.queueFrame(type, trafficClass, payload);
   return commitFrame(fd, conn, start);
 }
 
@@ -511,64 +488,41 @@ bool BroadcastServer::sendEncoded(int fd, Conn& conn, wire::FrameType type,
                                   const Msg& m,
                                   void (*encode)(const Msg&,
                                                  report::BitWriter&)) {
-  const std::size_t start = conn.out.size();
+  std::vector<std::uint8_t>& out = conn.stream.out;
+  const std::size_t start = out.size();
   report::BitWriter w =
-      wire::beginFrame(conn.out, type, wire::kNoScheme, trafficClass);
+      wire::beginFrame(out, type, wire::kNoScheme, trafficClass);
   encode(m, w);
-  wire::finishFrame(conn.out, start, w);
+  wire::finishFrame(out, start, w);
   return commitFrame(fd, conn, start);
 }
 
 bool BroadcastServer::commitFrame(int fd, Conn& conn, std::size_t start) {
+  StreamConn& stream = conn.stream;
   // The cap counts bytes the kernel refused: once a send has hit EAGAIN
   // (wantWrite), everything still queued waits behind that refusal. Corked
   // bytes the kernel has not been offered yet do not count.
-  const std::size_t refused = conn.wantWrite ? start - conn.outOff : 0;
-  if (refused + (conn.out.size() - start) > opts_.maxSendQueueBytes) {
+  const std::size_t refused = stream.wantWrite ? start - stream.outOff : 0;
+  if (refused + (stream.out.size() - start) > opts_.maxSendQueueBytes) {
     // Whole-frame drop: a wedged client loses replies (and will resync via
     // future reports) but can never wedge the daemon. The connection
     // itself is still healthy.
-    conn.out.resize(start);
+    stream.out.resize(start);
     ++stats_.framesDropped;
     return true;
   }
   // A full socket is drained by the EPOLLOUT handler; a corked one by the
   // end of its event, unless the cork has grown to kCorkBytes.
-  if (conn.wantWrite ||
-      (conn.corked && conn.out.size() - conn.outOff < kCorkBytes)) {
+  if (stream.wantWrite || (conn.corked && stream.pending() < kCorkBytes)) {
     return true;
   }
-  flushConn(fd, conn);  // on hard error this closeConn()s, invalidating conn
-  return conns_.find(fd) != conns_.end();
+  return flushConn(fd, conn);
 }
 
-void BroadcastServer::flushConn(int fd, Conn& conn) {
-  while (conn.outOff < conn.out.size()) {
-    ++stats_.tcpSendCalls;
-    // MCI-ANALYZE-ALLOW(reactor-blocking): fd was accept4'd with
-    // SOCK_NONBLOCK in onAcceptable; send returns EAGAIN, never blocks
-    const ssize_t n = ::send(fd, conn.out.data() + conn.outOff,
-                             conn.out.size() - conn.outOff, MSG_NOSIGNAL);
-    if (n > 0) {
-      conn.outOff += static_cast<std::size_t>(n);
-      continue;
-    }
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-      if (!conn.wantWrite) {
-        conn.wantWrite = true;
-        reactor_.modifyFd(fd, EPOLLIN | EPOLLOUT);
-      }
-      return;
-    }
-    closeConn(fd);
-    return;
-  }
-  conn.out.clear();
-  conn.outOff = 0;
-  if (conn.wantWrite) {
-    conn.wantWrite = false;
-    reactor_.modifyFd(fd, EPOLLIN);
-  }
+bool BroadcastServer::flushConn(int fd, Conn& conn) {
+  if (conn.stream.flush(reactor_, stats_.tcpSendCalls)) return true;
+  closeConn(fd);
+  return false;
 }
 
 void BroadcastServer::encodeReportInto(const report::Report& r,
@@ -608,15 +562,7 @@ void BroadcastServer::broadcastTick() {
   lastReportPayload_.assign(payload.begin(), payload.end());
   if (multicast_) {
     // One datagram serves every listener of this shard's group.
-    ++stats_.udpSendSyscalls;
-    const ssize_t n = ::sendto(
-        udpFd_, reportArena_.data(), reportArena_.size(), MSG_DONTWAIT,
-        reinterpret_cast<const sockaddr*>(&mcastAddr_), sizeof mcastAddr_);
-    if (n < 0) {
-      ++stats_.udpSendFailures;
-    } else {
-      ++stats_.udpDatagramsSent;
-    }
+    sendDatagram(mcastAddr_, reportArena_.data(), reportArena_.size());
   } else {
     fanOutReport();
   }
@@ -625,7 +571,7 @@ void BroadcastServer::broadcastTick() {
 }
 
 void BroadcastServer::fanOutReport() {
-  if (Reactor::supportsBatchedUdp()) {
+  if (UdpBatchSender::available()) {
     batchAddrs_.clear();
     for (auto& [fd, conn] : conns_) {
       // Port 0 is the Hello's opt-out: a multiplexing endpoint (swarm) or
@@ -648,15 +594,19 @@ void BroadcastServer::fanOutReport() {
   }
   for (auto& [fd, conn] : conns_) {
     if (!conn.welcomed || conn.udpAddr.sin_port == 0) continue;
-    ++stats_.udpSendSyscalls;
-    const ssize_t n = ::sendto(
-        udpFd_, reportArena_.data(), reportArena_.size(), MSG_DONTWAIT,
-        reinterpret_cast<const sockaddr*>(&conn.udpAddr), sizeof conn.udpAddr);
-    if (n < 0) {
-      ++stats_.udpSendFailures;
-    } else {
-      ++stats_.udpDatagramsSent;
-    }
+    sendDatagram(conn.udpAddr, reportArena_.data(), reportArena_.size());
+  }
+}
+
+void BroadcastServer::sendDatagram(const sockaddr_in& to,
+                                   const std::uint8_t* data, std::size_t len) {
+  ++stats_.udpSendSyscalls;
+  const ssize_t n = ::sendto(udpFd_, data, len, MSG_DONTWAIT,
+                             reinterpret_cast<const sockaddr*>(&to), sizeof to);
+  if (n < 0) {
+    ++stats_.udpSendFailures;
+  } else {
+    ++stats_.udpDatagramsSent;
   }
 }
 
@@ -758,27 +708,16 @@ void BroadcastServer::startHandoff(std::function<void()> onDone) {
     if (byDst[dst].empty()) continue;
     auto ch = std::make_unique<HandoffChannel>();
     ch->dstShard = dst;
+    // A sibling daemon on the same host; a one-off per reshard, not a
+    // steady-state path.
     const ShardEndpoint& e = reshardNew_.endpoint(dst);
-    ch->fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(e.ipv4);
-    addr.sin_port = htons(e.tcpPort);
-    // MCI-ANALYZE-ALLOW(reactor-blocking): loopback connect to a sibling
-    // daemon completes in the handshake RTT; a one-off per reshard, not a
-    // steady-state path. Nonblocking from here on.
-    if (ch->fd < 0 || ::connect(ch->fd, reinterpret_cast<sockaddr*>(&addr),
-                                sizeof addr) != 0) {
-      if (ch->fd >= 0) ::close(ch->fd);
-      ch->fd = -1;
+    ch->stream.fd = dialTcp(e.ipv4, e.tcpPort);
+    if (ch->stream.fd < 0) {
       ch->done = true;
       ++stats_.handoffFailures;
       handoffChannels_.push_back(std::move(ch));
       continue;
     }
-    ::fcntl(ch->fd, F_SETFL, ::fcntl(ch->fd, F_GETFL, 0) | O_NONBLOCK);
-    const int nodelay = 1;
-    ::setsockopt(ch->fd, IPPROTO_TCP, TCP_NODELAY, &nodelay, sizeof nodelay);
 
     // Queue the whole stream up front (the unbounded channel buffer IS the
     // migration; see HandoffChannel) and let the reactor drain it.
@@ -795,16 +734,19 @@ void BroadcastServer::startHandoff(std::function<void()> onDone) {
                               net::TrafficClass::kBulk);
       wire::encodeHandoffInto(h, w);
       controlArena_.finish(w);
-      ch->out.insert(ch->out.end(), controlArena_.data(),
-                     controlArena_.data() + controlArena_.size());
+      ch->stream.out.insert(ch->stream.out.end(), controlArena_.data(),
+                            controlArena_.data() + controlArena_.size());
       ++ch->itemsQueued;
       ++stats_.handoffItemsSent;
     }
 
+    // Registered with EPOLLOUT armed: the first writable event sends the
+    // stream, and the flush that drains it disarms EPOLLOUT.
     HandoffChannel* cp = ch.get();
+    cp->stream.wantWrite = true;
     handoffChannels_.push_back(std::move(ch));
     cp->reg = reactor_.addFd(
-        cp->fd, EPOLLIN | EPOLLOUT,
+        cp->stream.fd, EPOLLIN | EPOLLOUT,
         [this, cp](std::uint32_t ev) { onHandoffChannel(*cp, ev); }, owner_);
   }
 
@@ -814,62 +756,43 @@ void BroadcastServer::startHandoff(std::function<void()> onDone) {
 void BroadcastServer::onHandoffChannel(HandoffChannel& ch,
                                        std::uint32_t events) {
   if (ch.done) return;
-  if ((events & (EPOLLHUP | EPOLLERR)) != 0) {
-    closeHandoffChannel(ch, true);
-    finishHandoffIfDone();
-    return;
+  bool failed = (events & (EPOLLHUP | EPOLLERR)) != 0;
+  if (!failed && (events & EPOLLOUT) != 0) {
+    // Backfill is not reply traffic: kept out of ServerStats::tcpSendCalls.
+    std::uint64_t sends = 0;
+    failed = !ch.stream.flush(reactor_, sends);
   }
-  if ((events & EPOLLOUT) != 0) {
-    while (ch.outOff < ch.out.size()) {
-      // MCI-ANALYZE-ALLOW(reactor-blocking): fd set O_NONBLOCK at connect
-      const ssize_t n = ::send(ch.fd, ch.out.data() + ch.outOff,
-                               ch.out.size() - ch.outOff, MSG_NOSIGNAL);
-      if (n > 0) {
-        ch.outOff += static_cast<std::size_t>(n);
-        continue;
-      }
-      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-      closeHandoffChannel(ch, true);
+  if (!failed && (events & EPOLLIN) != 0) {
+    std::optional<bool> acked;  // set by the ack: true when it checks out
+    const StreamConn::ReadStatus st =
+        ch.stream.read([&](const wire::FrameView& frame) {
+          if (frame.header.type != wire::FrameType::kHandoffAck) return true;
+          const std::optional<wire::HandoffAck> ack = wire::decodeHandoffAck(
+              {frame.payload.begin(), frame.payload.end()});
+          acked = ack && ack->mapVersion == reshardNew_.version() &&
+                  ack->itemsReceived >= ch.itemsQueued;
+          return false;  // the ack ends the channel
+        });
+    if (acked) {
+      closeHandoffChannel(ch, !*acked);
       finishHandoffIfDone();
       return;
     }
-    if (ch.outOff >= ch.out.size()) {
-      ch.out.clear();
-      ch.outOff = 0;
-      reactor_.modifyFd(ch.fd, EPOLLIN);  // stream sent; wait for the ack
-    }
+    // EOF (or a broken stream) before the ack: the stream is lost.
+    failed = st == StreamConn::ReadStatus::kClosed ||
+             st == StreamConn::ReadStatus::kCorrupt;
   }
-  if ((events & EPOLLIN) == 0) return;
-  std::uint8_t buf[4096];
-  for (;;) {
-    // MCI-ANALYZE-ALLOW(reactor-blocking): fd set O_NONBLOCK at connect
-    const ssize_t n = ::recv(ch.fd, buf, sizeof buf, 0);
-    if (n > 0) {
-      ch.in.append(buf, static_cast<std::size_t>(n));
-      if (n < static_cast<ssize_t>(sizeof buf)) break;
-      continue;
-    }
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-    closeHandoffChannel(ch, true);  // EOF before the ack: stream lost
+  if (failed) {
+    closeHandoffChannel(ch, true);
     finishHandoffIfDone();
-    return;
-  }
-  while (std::optional<wire::Frame> frame = ch.in.next()) {
-    if (frame->header.type != wire::FrameType::kHandoffAck) continue;
-    std::optional<wire::HandoffAck> ack = wire::decodeHandoffAck(frame->payload);
-    const bool ok = ack && ack->mapVersion == reshardNew_.version() &&
-                    ack->itemsReceived >= ch.itemsQueued;
-    closeHandoffChannel(ch, !ok);
-    finishHandoffIfDone();
-    return;
   }
 }
 
 void BroadcastServer::closeHandoffChannel(HandoffChannel& ch, bool failed) {
-  if (ch.fd >= 0) {
+  if (ch.stream.fd >= 0) {
     reactor_.removeFd(ch.reg);
-    ::close(ch.fd);
-    ch.fd = -1;
+    ::close(ch.stream.fd);
+    ch.stream.fd = -1;
   }
   ch.done = true;
   if (failed) ++stats_.handoffFailures;
@@ -979,30 +902,13 @@ void BroadcastServer::announceMapUpdate(const ShardMap& map) {
   wire::encodeMapUpdateInto(mu, w);
   controlArena_.finish(w);
   if (multicast_) {
-    ++stats_.udpSendSyscalls;
     ++stats_.mapUpdatesSent;
-    const ssize_t n = ::sendto(
-        udpFd_, controlArena_.data(), controlArena_.size(), MSG_DONTWAIT,
-        reinterpret_cast<const sockaddr*>(&mcastAddr_), sizeof mcastAddr_);
-    if (n < 0) {
-      ++stats_.udpSendFailures;
-    } else {
-      ++stats_.udpDatagramsSent;
-    }
+    sendDatagram(mcastAddr_, controlArena_.data(), controlArena_.size());
   } else {
     for (auto& [fd, conn] : conns_) {
       if (!conn.welcomed || conn.udpAddr.sin_port == 0) continue;
-      ++stats_.udpSendSyscalls;
       ++stats_.mapUpdatesSent;
-      const ssize_t n = ::sendto(
-          udpFd_, controlArena_.data(), controlArena_.size(), MSG_DONTWAIT,
-          reinterpret_cast<const sockaddr*>(&conn.udpAddr),
-          sizeof conn.udpAddr);
-      if (n < 0) {
-        ++stats_.udpSendFailures;
-      } else {
-        ++stats_.udpDatagramsSent;
-      }
+      sendDatagram(conn.udpAddr, controlArena_.data(), controlArena_.size());
     }
   }
 }

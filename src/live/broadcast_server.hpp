@@ -7,6 +7,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -16,6 +17,7 @@
 #include "live/clock.hpp"
 #include "live/reactor.hpp"
 #include "live/shard_map.hpp"
+#include "live/stream_conn.hpp"
 #include "live/udp_batch.hpp"
 #include "live/wire.hpp"
 #include "metrics/collector.hpp"
@@ -225,12 +227,9 @@ class BroadcastServer {
 
  private:
   struct Conn {
-    wire::FrameBuffer in;
-    std::vector<std::uint8_t> out;
-    std::size_t outOff = 0;
-    bool wantWrite = false;  ///< the kernel refused bytes; EPOLLOUT armed
-    /// Inside onConnEvent: replies collect in `out` and leave in one send
-    /// at the end of the event (or at kCorkBytes).
+    StreamConn stream;
+    /// Inside onConnEvent: replies collect in stream.out and leave in one
+    /// send at the end of the event (or at kCorkBytes).
     bool corked = false;
     bool welcomed = false;
     bool audit = false;
@@ -248,13 +247,10 @@ class BroadcastServer {
   /// IS the migration; the per-client send cap must not drop it) and
   /// drained by the reactor until the destination's kHandoffAck.
   struct HandoffChannel {
-    int fd = -1;
+    StreamConn stream;  ///< kHandoff frames out, the kHandoffAck back
     Reactor::FdHandle reg;  ///< backfill socket's reactor registration
     std::uint32_t dstShard = 0;
     std::uint32_t itemsQueued = 0;
-    std::vector<std::uint8_t> out;
-    std::size_t outOff = 0;
-    wire::FrameBuffer in;  ///< ack direction
     bool done = false;
   };
 
@@ -294,22 +290,27 @@ class BroadcastServer {
   /// must stop touching it (tools/analyze checked-return).
   [[nodiscard]] bool sendFrame(int fd, Conn& conn, wire::FrameType type,
                                net::TrafficClass trafficClass,
-                               const std::vector<std::uint8_t>& payload);
-  /// sendFrame() for a message `encode` writes straight into conn.out: no
-  /// payload vector per frame.
+                               std::span<const std::uint8_t> payload);
+  /// sendFrame() for a message `encode` writes straight into the stream's
+  /// queue: no payload vector per frame.
   template <typename Msg>
   [[nodiscard]] bool sendEncoded(int fd, Conn& conn, wire::FrameType type,
                                  net::TrafficClass trafficClass, const Msg& m,
                                  void (*encode)(const Msg&,
                                                 report::BitWriter&));
-  /// The drop rule and cork for the frame appended at conn.out[start].
+  /// The drop rule and cork for the frame appended at stream.out[start].
   [[nodiscard]] bool commitFrame(int fd, Conn& conn, std::size_t start);
-  void flushConn(int fd, Conn& conn);
+  /// Flushes conn's stream; on a hard error closes the connection (conn
+  /// then dangles) and returns false.
+  [[nodiscard]] bool flushConn(int fd, Conn& conn);
 
   void broadcastTick();
   /// Unicast IR fan-out of the arena frame: sendmmsg batches when the
   /// kernel has them, the classic per-socket sendto loop otherwise.
   void fanOutReport();
+  /// One non-blocking sendto on the IR socket, counted in the UDP stats.
+  void sendDatagram(const sockaddr_in& to, const std::uint8_t* data,
+                    std::size_t len);
   void runUpdateTransaction();
   void scheduleNextUpdate();
   /// Appends the codec bytes of `r` to `w` (an arena writer on the tick

@@ -1,16 +1,10 @@
 #include "live/client_agent.hpp"
 
 #include <arpa/inet.h>
-#include <fcntl.h>
-#include <netinet/tcp.h>
 #include <sys/epoll.h>
-#include <sys/socket.h>
-#include <sys/uio.h>
 #include <unistd.h>
 
 #include <algorithm>
-#include <array>
-#include <cerrno>
 #include <stdexcept>
 #include <utility>
 
@@ -19,14 +13,6 @@
 #include "core/scheme_factory.hpp"
 
 namespace mci::live {
-namespace {
-
-int makeNonBlocking(int fd) {
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  return flags < 0 ? -1 : ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
-}
-
-}  // namespace
 
 // --- ClientAgent -------------------------------------------------------
 
@@ -37,57 +23,10 @@ ClientAgent::~ClientAgent() {
   cancelTimer();
   for (auto* linkSet : {&links_, &draining_}) {
     for (auto& link : *linkSet) {
-      if (!link) continue;
-      if (link->tcpFd >= 0) {
-        pool_.reactor_.removeFd(link->tcpReg);
-        ::close(link->tcpFd);
-      }
-      if (link->udpFd >= 0) {
-        pool_.reactor_.removeFd(link->udpReg);
-        ::close(link->udpFd);
-      }
+      if (link) closeLink(*link);
     }
   }
   pool_.reactor_.retireOwner(owner_);
-}
-
-int ClientAgent::openDownlinkUdp(std::uint32_t ipv4, std::uint32_t mcastIpv4,
-                                 std::uint16_t mcastPort) {
-  const int fd = ::socket(AF_INET, SOCK_DGRAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
-  if (fd < 0) throw std::runtime_error("live agent: socket() failed");
-  sockaddr_in udpAddr{};
-  udpAddr.sin_family = AF_INET;
-  if (mcastIpv4 != 0) {
-    // Multicast downlink: every listener of the shard binds the group port
-    // (shared via SO_REUSEADDR) and joins the group on the shard's
-    // interface — one datagram then reaches them all.
-    const int one = 1;
-    ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-    udpAddr.sin_addr.s_addr = htonl(INADDR_ANY);
-    udpAddr.sin_port = htons(mcastPort);
-    if (::bind(fd, reinterpret_cast<const sockaddr*>(&udpAddr),
-               sizeof udpAddr) != 0) {
-      ::close(fd);
-      throw std::runtime_error("live agent: multicast UDP bind failed");
-    }
-    ip_mreq mreq{};
-    mreq.imr_multiaddr.s_addr = htonl(mcastIpv4);
-    mreq.imr_interface.s_addr = htonl(ipv4);
-    if (::setsockopt(fd, IPPROTO_IP, IP_ADD_MEMBERSHIP, &mreq, sizeof mreq) !=
-        0) {
-      ::close(fd);
-      throw std::runtime_error("live agent: multicast join failed");
-    }
-  } else {
-    udpAddr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    udpAddr.sin_port = 0;
-    if (::bind(fd, reinterpret_cast<const sockaddr*>(&udpAddr),
-               sizeof udpAddr) != 0) {
-      ::close(fd);
-      throw std::runtime_error("live agent: UDP bind failed");
-    }
-  }
-  return fd;
 }
 
 std::unique_ptr<ClientAgent::Link> ClientAgent::makeLink(
@@ -97,53 +36,48 @@ std::unique_ptr<ClientAgent::Link> ClientAgent::makeLink(
   link->shard = shard;
   link->ipv4 = ipv4;
   link->tcpPort = tcpPort;
-  link->udpFd = openDownlinkUdp(ipv4, mcastIpv4, mcastPort);
-  link->tcpFd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  if (link->tcpFd < 0) {
-    throw std::runtime_error("live agent: socket() failed");
-  }
-  // Queries and checks are small, latency-bound frames; disable Nagle so
-  // a fill round trip stays sub-millisecond instead of stretching past a
-  // broadcast period behind the peer's delayed ACK.
-  const int nodelay = 1;
-  ::setsockopt(link->tcpFd, IPPROTO_TCP, TCP_NODELAY, &nodelay,
-               sizeof nodelay);
-
-  sockaddr_in server{};
-  server.sin_family = AF_INET;
-  server.sin_addr.s_addr = htonl(ipv4);
-  server.sin_port = htons(tcpPort);
-  // Blocking connect (instant on loopback), then non-blocking I/O. A
-  // reconnect timer does reach this, so it is a deliberate, justified
-  // exception to the reactor-blocking rule rather than an oversight.
-  // MCI-ANALYZE-ALLOW(reactor-blocking): loopback connect completes in one
-  if (::connect(link->tcpFd, reinterpret_cast<const sockaddr*>(&server),  // RTT
-                sizeof server) != 0 ||
-      makeNonBlocking(link->tcpFd) != 0) {
+  openDownlink(*link, ipv4, mcastIpv4, mcastPort);
+  link->tcp.fd = dialTcp(ipv4, tcpPort);
+  if (link->tcp.fd < 0) {
+    closeLink(*link);
     throw std::runtime_error("live agent: connect failed");
   }
-
   Link* lp = link.get();
   link->tcpReg = pool_.reactor_.addFd(
-      link->tcpFd, EPOLLIN, [this, lp](std::uint32_t ev) { onTcp(*lp, ev); },
-      owner_);
-  link->udpReg = pool_.reactor_.addFd(
-      link->udpFd, EPOLLIN, [this, lp](std::uint32_t ev) { onUdp(*lp, ev); },
+      link->tcp.fd, EPOLLIN, [this, lp](std::uint32_t ev) { onTcp(*lp, ev); },
       owner_);
   return link;
 }
 
-void ClientAgent::sendHello(Link& link) {
-  sockaddr_in udpAddr{};
-  socklen_t len = sizeof udpAddr;
-  ::getsockname(link.udpFd, reinterpret_cast<sockaddr*>(&udpAddr), &len);
-  wire::Hello hello;
-  hello.udpPort = ntohs(udpAddr.sin_port);
-  hello.audit = pool_.opts_.sendAudit;
-  if (!sendFrame(link, wire::FrameType::kHello, net::TrafficClass::kControl,
-                 wire::encodeHello(hello))) {
-    return;  // connection died mid-hello; dropAgent() already ran
+void ClientAgent::openDownlink(Link& link, std::uint32_t ipv4,
+                               std::uint32_t mcastIpv4,
+                               std::uint16_t mcastPort) {
+  link.udpFd = openDownlinkUdp(ipv4, mcastIpv4, mcastPort);
+  Link* lp = &link;
+  link.udpReg = pool_.reactor_.addFd(
+      link.udpFd, EPOLLIN, [this, lp](std::uint32_t ev) { onUdp(*lp, ev); },
+      owner_);
+}
+
+void ClientAgent::closeLink(Link& link) {
+  if (link.tcp.fd >= 0) {
+    pool_.reactor_.removeFd(link.tcpReg);
+    ::close(link.tcp.fd);
+    link.tcp.fd = -1;
   }
+  if (link.udpFd >= 0) {
+    pool_.reactor_.removeFd(link.udpReg);
+    ::close(link.udpFd);
+    link.udpFd = -1;
+  }
+}
+
+void ClientAgent::sendHello(Link& link) {
+  wire::Hello hello;
+  hello.udpPort = boundPort(link.udpFd);
+  hello.audit = pool_.opts_.sendAudit;
+  link.tcp.queueFrame(wire::FrameType::kHello, net::TrafficClass::kControl,
+                      wire::encodeHello(hello));
 }
 
 void ClientAgent::connect() {
@@ -154,24 +88,26 @@ void ClientAgent::connect() {
   links_.push_back(
       makeLink(kUnknownShard, ntohl(seed.s_addr), pool_.opts_.port, 0, 0));
   sendHello(*links_.back());
+  flushLinks();
 }
 
 void ClientAgent::shutdown() {
   shuttingDown_ = true;
   for (auto& link : links_) {
-    if (link && link->tcpFd >= 0) {
-      // Best-effort goodbye: teardown continues whether or not it lands.
-      (void)sendFrame(*link, wire::FrameType::kBye,
-                      net::TrafficClass::kControl, {});
+    // Best-effort goodbye: teardown continues whether or not it lands.
+    if (link) {
+      link->tcp.queueFrame(wire::FrameType::kBye,
+                           net::TrafficClass::kControl, {});
     }
   }
+  flushLinks();
   dropAgent();
 }
 
 bool ClientAgent::connectionAlive() const {
   if (links_.empty()) return false;
   for (const auto& link : links_) {
-    if (!link || link->tcpFd < 0) return false;
+    if (!link || link->tcp.fd < 0) return false;
   }
   return true;
 }
@@ -192,17 +128,8 @@ void ClientAgent::dropAgent() {
   for (auto* linkSet : {&links_, &draining_}) {
     for (auto& link : *linkSet) {
       if (!link) continue;
-      if (link->tcpFd >= 0) {
-        if (!link->draining) hadLive = true;
-        pool_.reactor_.removeFd(link->tcpReg);
-        ::close(link->tcpFd);
-        link->tcpFd = -1;
-      }
-      if (link->udpFd >= 0) {
-        pool_.reactor_.removeFd(link->udpReg);
-        ::close(link->udpFd);
-        link->udpFd = -1;
-      }
+      if (link->tcp.fd >= 0 && !link->draining) hadLive = true;
+      closeLink(*link);
     }
   }
   // One agent = one host: losing any shard link retires the whole agent
@@ -216,63 +143,30 @@ void ClientAgent::onTcp(Link& link, std::uint32_t events) {
     dropAgent();
     return;
   }
-  if ((events & EPOLLOUT) != 0) flushOut(link);
-  if (link.tcpFd < 0 || (events & EPOLLIN) == 0) return;
-
-  std::uint8_t buf[65536];
-  for (;;) {
-    // MCI-ANALYZE-ALLOW(reactor-blocking): tcpFd is O_NONBLOCK (makeLink)
-    const ssize_t n = ::recv(link.tcpFd, buf, sizeof buf, 0);
-    if (n > 0) {
-      link.in.append(buf, static_cast<std::size_t>(n));
-      if (n < static_cast<ssize_t>(sizeof buf)) break;
-      continue;
+  if ((events & EPOLLIN) != 0) {
+    const StreamConn::ReadStatus st =
+        link.tcp.read([this, &link](const wire::FrameView& frame) {
+          handleFrame(link, frame);
+          return link.tcp.fd >= 0;
+        });
+    if (st == StreamConn::ReadStatus::kCorrupt) ++pool_.stats_.badFrames;
+    if (st == StreamConn::ReadStatus::kClosed ||
+        st == StreamConn::ReadStatus::kCorrupt) {
+      dropAgent();
+      return;
     }
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-    dropAgent();
-    return;
   }
-  while (link.tcpFd >= 0) {
-    std::optional<wire::Frame> frame = link.in.next();
-    if (!frame) break;
-    handleFrame(link, *frame);
-  }
-  if (link.tcpFd >= 0 && link.in.corrupt()) {
-    ++pool_.stats_.badFrames;
-    dropAgent();
-  }
+  flushLinks();  // also drains a tail EPOLLOUT reported
 }
 
 void ClientAgent::onUdp(Link& link, std::uint32_t events) {
   if ((events & EPOLLIN) == 0) return;
-  if (Reactor::supportsBatchedUdp() && !pool_.udpRecvFellBack_) {
-    // Batched drain: one recvmmsg pulls up to kBatch datagrams through the
-    // pool's shared buffers, so a tick-burst of reports costs O(batches)
-    // kernel entries. ENOSYS at runtime (probe raced a seccomp filter)
-    // stickily reroutes the whole pool to the classic loop below.
-    for (;;) {
-      bool fellBack = false;
-      const int n = pool_.udpReceiver_.receive(link.udpFd, fellBack);
-      ++pool_.stats_.udpRecvSyscalls;
-      if (fellBack) {
-        pool_.udpRecvFellBack_ = true;
-        break;
-      }
-      if (n == 0) return;  // drained
-      for (int i = 0; i < n; ++i) {
-        const UdpBatchReceiver::Datagram d = pool_.udpReceiver_.datagram(i);
-        if (!handleUdpDatagram(link, d.data, d.len)) return;
-      }
-    }
-  }
-  std::uint8_t buf[1 << 16];
-  for (;;) {
-    // MCI-ANALYZE-ALLOW(reactor-blocking): udpFd is SOCK_NONBLOCK
-    const ssize_t n = ::recv(link.udpFd, buf, sizeof buf, 0);
-    ++pool_.stats_.udpRecvSyscalls;
-    if (n <= 0) return;  // EAGAIN drained, or transient error
-    if (!handleUdpDatagram(link, buf, static_cast<std::size_t>(n))) return;
-  }
+  pool_.udpReceiver_.drain(
+      link.udpFd, pool_.stats_.udpRecvSyscalls,
+      [this, &link](const std::uint8_t* data, std::size_t len) {
+        return handleUdpDatagram(link, data, len);
+      });
+  flushLinks();
 }
 
 bool ClientAgent::handleUdpDatagram(Link& link, const std::uint8_t* data,
@@ -294,17 +188,17 @@ bool ClientAgent::handleUdpDatagram(Link& link, const std::uint8_t* data,
     } else {
       ++pool_.stats_.badFrames;
     }
-    return link.tcpFd >= 0;  // the flip may have drained this link
+    return link.tcp.fd >= 0;  // the flip may have drained this link
   }
   if (frame->header.type != wire::FrameType::kReport) {
     ++pool_.stats_.badFrames;
     return true;
   }
   onReportPayload(link, frame->payload);
-  return link.tcpFd >= 0;  // report handling may have dropped us
+  return link.tcp.fd >= 0;  // report handling may have dropped us
 }
 
-void ClientAgent::handleFrame(Link& link, const wire::Frame& frame) {
+void ClientAgent::handleFrame(Link& link, const wire::FrameView& frame) {
   switch (frame.header.type) {
     case wire::FrameType::kWelcome:
       if (auto m = wire::decodeWelcome(frame.payload)) onWelcome(link, *m);
@@ -369,12 +263,8 @@ void ClientAgent::onWelcome(Link& link, const wire::Welcome& w) {
       // uses the Hello's per-client UDP port.
       pool_.reactor_.removeFd(link.udpReg);
       ::close(link.udpFd);
-      link.udpFd =
-          openDownlinkUdp(seedEp.ipv4, seedEp.multicastIpv4, seedEp.multicastPort);
-      Link* lp = &link;
-      link.udpReg = pool_.reactor_.addFd(
-          link.udpFd, EPOLLIN,
-          [this, lp](std::uint32_t ev) { onUdp(*lp, ev); }, owner_);
+      openDownlink(link, seedEp.ipv4, seedEp.multicastIpv4,
+                   seedEp.multicastPort);
     }
 
     std::vector<std::unique_ptr<Link>> byShard(map.shardCount());
@@ -452,7 +342,7 @@ void ClientAgent::onReportPayload(Link& link,
   const schemes::ClientOutcome outcome = link.scheme->onReport(*r, *link.ctx);
   if (outcome.sendCheck) {
     sendCheck(link, outcome.check);
-    if (link.tcpFd < 0) return;
+    if (link.tcp.fd < 0) return;
   }
 
   if (state_ == State::kQuerying) {
@@ -553,10 +443,8 @@ void ClientAgent::maybeAnswerLink(Link& link) {
         a.item = item;
         a.version = e->version;
         a.validAsOf = link.ctx->lastHeard();
-        if (!sendFrame(link, wire::FrameType::kAudit,
-                       net::TrafficClass::kControl, wire::encodeAudit(a))) {
-          return;  // connection died; dropAgent() already ran
-        }
+        link.tcp.queueFrame(wire::FrameType::kAudit,
+                            net::TrafficClass::kControl, wire::encodeAudit(a));
       }
     } else {
       pool_.collector_->onCacheMiss(agentId_);
@@ -567,10 +455,8 @@ void ClientAgent::maybeAnswerLink(Link& link) {
     pool_.collector_->onClientTx(pool_.sizes_.queryRequestBits());
     wire::QueryRequest q;
     q.items = link.fetch;
-    if (!sendFrame(link, wire::FrameType::kQueryRequest,
-                   net::TrafficClass::kBulk, wire::encodeQueryRequest(q))) {
-      return;  // connection died; dropAgent() already ran
-    }
+    link.tcp.queueFrame(wire::FrameType::kQueryRequest,
+                        net::TrafficClass::kBulk, wire::encodeQueryRequest(q));
   }
 }
 
@@ -582,7 +468,7 @@ void ClientAgent::maybeCompleteQuery() {
   // A flip mid-query leaves its in-flight legs on the drained links; the
   // retiring daemons grace-serve them to completion before the fds close.
   for (const auto& link : draining_) {
-    if (link->tcpFd >= 0 && (link->needAnswer || !link->fetch.empty())) return;
+    if (link->tcp.fd >= 0 && (link->needAnswer || !link->fetch.empty())) return;
   }
   completeQuery();
 }
@@ -646,83 +532,19 @@ void ClientAgent::sendCheck(Link& link, const schemes::CheckMessage& msg) {
   c.epoch = msg.epoch;
   c.sizeBits = msg.sizeBits;
   c.entries = msg.entries;
-  if (!sendFrame(link, wire::FrameType::kCheck, net::TrafficClass::kControl,
-                 wire::encodeCheck(c))) {
-    return;  // connection died mid-check; dropAgent() already ran
-  }
+  link.tcp.queueFrame(wire::FrameType::kCheck, net::TrafficClass::kControl,
+                      wire::encodeCheck(c));
 }
 
-bool ClientAgent::sendFrame(Link& link, wire::FrameType type,
-                            net::TrafficClass trafficClass,
-                            const std::vector<std::uint8_t>& payload) {
-  if (link.tcpFd < 0) return false;
-  const std::array<std::uint8_t, wire::kHeaderBytes> hdr =
-      wire::encodeFrameHeader(type, wire::kNoScheme, trafficClass, payload);
-  const std::size_t frameBytes = hdr.size() + payload.size();
-  if (link.outOff >= link.out.size()) {
-    // Empty-queue fast path: scatter/gather the header and payload to the
-    // socket from their own buffers; only an unsent tail is queued.
-    std::array<iovec, 2> iov{};
-    iov[0].iov_base = const_cast<std::uint8_t*>(hdr.data());
-    iov[0].iov_len = hdr.size();
-    iov[1].iov_base = const_cast<std::uint8_t*>(payload.data());
-    iov[1].iov_len = payload.size();
-    msghdr msg{};
-    msg.msg_iov = iov.data();
-    msg.msg_iovlen = payload.empty() ? 1 : 2;
-    // MCI-ANALYZE-ALLOW(reactor-blocking): tcpFd is O_NONBLOCK (makeLink)
-    const ssize_t n = ::sendmsg(link.tcpFd, &msg, MSG_NOSIGNAL);
-    if (n < 0 && errno != EAGAIN && errno != EWOULDBLOCK) {
-      dropAgent();
-      return false;
-    }
-    const std::size_t sent = n > 0 ? static_cast<std::size_t>(n) : 0;
-    if (sent == frameBytes) return true;
-    if (sent < hdr.size()) {
-      link.out.insert(link.out.end(), hdr.begin() + sent, hdr.end());
-      link.out.insert(link.out.end(), payload.begin(), payload.end());
-    } else {
-      link.out.insert(
-          link.out.end(),
-          payload.begin() + static_cast<std::ptrdiff_t>(sent - hdr.size()),
-          payload.end());
-    }
-    if (!link.wantWrite) {
-      link.wantWrite = true;
-      pool_.reactor_.modifyFd(link.tcpFd, EPOLLIN | EPOLLOUT);
-    }
-    return true;
-  }
-  link.out.insert(link.out.end(), hdr.begin(), hdr.end());
-  link.out.insert(link.out.end(), payload.begin(), payload.end());
-  flushOut(link);  // on hard error this runs dropAgent(), zeroing tcpFd
-  return link.tcpFd >= 0;
-}
-
-void ClientAgent::flushOut(Link& link) {
-  while (link.outOff < link.out.size()) {
-    // MCI-ANALYZE-ALLOW(reactor-blocking): tcpFd is O_NONBLOCK (makeLink)
-    const ssize_t n = ::send(link.tcpFd, link.out.data() + link.outOff,
-                             link.out.size() - link.outOff, MSG_NOSIGNAL);
-    if (n > 0) {
-      link.outOff += static_cast<std::size_t>(n);
-      continue;
-    }
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-      if (!link.wantWrite) {
-        link.wantWrite = true;
-        pool_.reactor_.modifyFd(link.tcpFd, EPOLLIN | EPOLLOUT);
+void ClientAgent::flushLinks() {
+  for (auto* linkSet : {&links_, &draining_}) {
+    for (auto& link : *linkSet) {
+      if (!link || link->tcp.fd < 0 || link->tcp.pending() == 0) continue;
+      if (!link->tcp.flush(pool_.reactor_, pool_.stats_.tcpSendCalls)) {
+        dropAgent();  // closes every link: nothing left to flush
+        return;
       }
-      return;
     }
-    dropAgent();
-    return;
-  }
-  link.out.clear();
-  link.outOff = 0;
-  if (link.wantWrite) {
-    link.wantWrite = false;
-    pool_.reactor_.modifyFd(link.tcpFd, EPOLLIN);
   }
 }
 
@@ -786,8 +608,8 @@ void ClientAgent::applyShardMap(const ShardMap& map) {
       return;
     }
     sendHello(*links_[s]);
-    if (links_[s]->tcpFd < 0) return;  // hello failed; dropAgent() ran
   }
+  flushLinks();
 
   // Migrate cached copies whose owner changed. Two passes per source cache
   // (forEach forbids mutation): collect movers, then erase them.
@@ -839,17 +661,7 @@ void ClientAgent::closeDrainingLinks() {
   // (reactor handlers up the stack may still hold references); only the
   // fds close.
   for (auto& link : draining_) {
-    if (!link) continue;
-    if (link->tcpFd >= 0) {
-      pool_.reactor_.removeFd(link->tcpReg);
-      ::close(link->tcpFd);
-      link->tcpFd = -1;
-    }
-    if (link->udpFd >= 0) {
-      pool_.reactor_.removeFd(link->udpReg);
-      ::close(link->udpFd);
-      link->udpFd = -1;
-    }
+    if (link) closeLink(*link);
   }
 }
 

@@ -13,6 +13,7 @@
 #include "live/clock.hpp"
 #include "live/reactor.hpp"
 #include "live/shard_map.hpp"
+#include "live/stream_conn.hpp"
 #include "live/udp_batch.hpp"
 #include "live/wire.hpp"
 #include "metrics/collector.hpp"
@@ -60,6 +61,10 @@ struct PoolStats {
   /// Kernel entries spent draining UDP downlinks (one per recvmmsg batch
   /// or per fallback recv). bench_live divides by reports heard.
   std::uint64_t udpRecvSyscalls = 0;
+  /// Kernel entries the TCP uplinks cost (one per send call). An agent
+  /// queues its frames and flushes each link once per handler, so a query
+  /// and its audits leave in one send.
+  std::uint64_t tcpSendCalls = 0;
   /// Wall-clock query latency (issue -> complete), microseconds. p50/p99/
   /// p999 via Hist::pct — the live latency SLO surface.
   metrics::Hist queryLatencyUs;
@@ -138,14 +143,10 @@ class ClientAgent {
     std::uint32_t ipv4 = 0;       ///< endpoint identity: survives reshards
     std::uint16_t tcpPort = 0;    ///< (a shard's index may change; this not)
     bool draining = false;        ///< endpoint left the map; finish + close
-    int tcpFd = -1;
+    StreamConn tcp;  ///< the uplink; tcp.fd == -1 once closed
     int udpFd = -1;
     Reactor::FdHandle tcpReg;  ///< uplink registration (removeFd on close)
     Reactor::FdHandle udpReg;  ///< downlink registration
-    wire::FrameBuffer in;
-    std::vector<std::uint8_t> out;
-    std::size_t outOff = 0;
-    bool wantWrite = false;
     std::uint32_t clientId = 0;  ///< this shard's id for us
     std::unique_ptr<schemes::ClientContext> ctx;
     std::unique_ptr<schemes::ClientScheme> scheme;
@@ -159,11 +160,12 @@ class ClientAgent {
                                                std::uint16_t tcpPort,
                                                std::uint32_t mcastIpv4,
                                                std::uint16_t mcastPort);
-  /// Opens the downlink socket: group-joined when mcastIpv4 != 0, else a
-  /// loopback-bound ephemeral unicast socket. Throws on failure.
-  [[nodiscard]] static int openDownlinkUdp(std::uint32_t ipv4,
-                                           std::uint32_t mcastIpv4,
-                                           std::uint16_t mcastPort);
+  /// Opens and registers the link's downlink (see openDownlinkUdp).
+  void openDownlink(Link& link, std::uint32_t ipv4, std::uint32_t mcastIpv4,
+                    std::uint16_t mcastPort);
+  /// Unregisters and closes both of the link's sockets; the Link object
+  /// itself stays (handlers up the stack may hold references into it).
+  void closeLink(Link& link);
   void sendHello(Link& link);
 
   void onTcp(Link& link, std::uint32_t events);
@@ -172,7 +174,7 @@ class ClientAgent {
   /// dropped this agent (the caller must stop draining).
   bool handleUdpDatagram(Link& link, const std::uint8_t* data,
                          std::size_t len);
-  void handleFrame(Link& link, const wire::Frame& frame);
+  void handleFrame(Link& link, const wire::FrameView& frame);
   void onWelcome(Link& link, const wire::Welcome& w);
   void onReportPayload(Link& link, const std::vector<std::uint8_t>& payload);
   void onDataItem(Link& link, const wire::DataItem& d);
@@ -186,13 +188,9 @@ class ClientAgent {
   void beginDoze(bool queryAfterWake);
   void wake();
   void sendCheck(Link& link, const schemes::CheckMessage& msg);
-  /// Queues one frame on the link and flushes. Returns false when the
-  /// flush hit a hard error and dropAgent() already ran (the Link object
-  /// survives with tcpFd == -1, but the caller must stop this exchange).
-  [[nodiscard]] bool sendFrame(Link& link, wire::FrameType type,
-                               net::TrafficClass trafficClass,
-                               const std::vector<std::uint8_t>& payload);
-  void flushOut(Link& link);
+  /// Sends what every open link has queued: the end of each handler that
+  /// queues frames. A hard send error retires the agent (dropAgent()).
+  void flushLinks();
   void cancelTimer();
   void dropAgent();
   void closeDrainingLinks();
@@ -315,11 +313,9 @@ class ClientPool {
   ShardMap shardMap_;
 
   PoolStats stats_;
-  /// Shared recvmmsg drain buffer (one per pool, not per agent) plus the
-  /// sticky runtime fallback: a single ENOSYS routes every later drain to
-  /// the per-datagram recv loop.
+  /// Shared downlink drain buffer (one per pool, not per agent); its
+  /// sticky ENOSYS fallback therefore covers the whole pool.
   UdpBatchReceiver udpReceiver_;
-  bool udpRecvFellBack_ = false;
   std::vector<std::unique_ptr<ClientAgent>> agents_;
 };
 

@@ -54,8 +54,9 @@ bool parseReshardScript(const std::string& spec,
     if (at == std::string::npos || at + 1 >= tok.size()) return false;
     std::string verb = tok.substr(0, at);
     ReshardStep step;
-    step.atModelSeconds = std::atof(tok.c_str() + at + 1);
-    if (step.atModelSeconds <= 0) return false;
+    char* end = nullptr;
+    step.atModelSeconds = std::strtod(tok.c_str() + at + 1, &end);
+    if (*end != '\0' || !(step.atModelSeconds > 0)) return false;
     std::uint32_t count = 1;
     while (!verb.empty() && verb.back() >= '0' && verb.back() <= '9') {
       // trailing digits are the shard count ("grow2")

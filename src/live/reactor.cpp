@@ -8,11 +8,8 @@
 #include <cstdint>
 
 #include "core/check.hpp"
-#include "live/udp_batch.hpp"
 
 namespace mci::live {
-
-bool Reactor::supportsBatchedUdp() { return UdpBatchSender::available(); }
 
 Reactor::Reactor() {
   epollFd_ = ::epoll_create1(EPOLL_CLOEXEC);

@@ -105,12 +105,6 @@ class Reactor {
   /// Wall seconds since the reactor was created (the deadline clock).
   [[nodiscard]] double nowSeconds() const { return clock_.seconds(); }
 
-  /// Capability probe: true when the running kernel accepts the batched
-  /// UDP syscalls (sendmmsg/recvmmsg). Probed once per process; callers
-  /// keep a per-socket loop as the fallback path either way, so a false
-  /// answer only changes the syscall count, never behaviour.
-  [[nodiscard]] static bool supportsBatchedUdp();
-
   [[nodiscard]] std::size_t fdCount() const { return fds_.size(); }
   [[nodiscard]] std::size_t timerCount() const { return timers_.size(); }
   /// Live fd + timer registrations tagged `owner` (teardown audit hook).

@@ -99,6 +99,22 @@ int UdpBatchReceiver::receive(int fd, bool& fellBack) {
   return n;
 }
 
+int UdpBatchReceiver::fill(int fd, std::uint64_t& syscalls) {
+  if (!fellBack_ && UdpBatchSender::available()) {
+    bool refused = false;
+    ++syscalls;
+    const int n = receive(fd, refused);
+    if (!refused) return n;
+    fellBack_ = true;
+  }
+  ++syscalls;
+  // MCI-ANALYZE-ALLOW(reactor-blocking): MSG_DONTWAIT, never blocks
+  const ssize_t n = ::recv(fd, storage_.data(), kDatagramBytes, MSG_DONTWAIT);
+  if (n <= 0) return 0;  // EAGAIN drained, or a transient error
+  hdrs_[0].msg_len = static_cast<unsigned>(n);
+  return 1;
+}
+
 UdpBatchReceiver::Datagram UdpBatchReceiver::datagram(int i) const {
   MCI_CHECK(i >= 0 && static_cast<unsigned>(i) < kBatch)
       << "datagram index out of range";

@@ -55,6 +55,8 @@ class UdpBatchSender {
 
 /// recvmmsg drain buffer, shared per pool (kBatch * 64 KiB once, not per
 /// agent): one kernel entry pulls up to kBatch datagrams off a downlink.
+/// drain() is the one downlink read loop of the live stack; its classic
+/// per-datagram recv fallback reuses the same buffer.
 class UdpBatchReceiver {
  public:
   static constexpr unsigned kBatch = 16;
@@ -76,10 +78,34 @@ class UdpBatchReceiver {
   /// The i-th datagram of the last receive() (valid until the next call).
   [[nodiscard]] Datagram datagram(int i) const;
 
+  /// Reads `fd` until it would block, handing each datagram to
+  /// `onDatagram(const std::uint8_t*, std::size_t) -> bool`; a false
+  /// return stops the drain (the handler closed or retired the socket).
+  /// One `syscalls` per recvmmsg batch, or per recv once the receiver has
+  /// fallen back: the first ENOSYS from recvmmsg (a seccomp filter or
+  /// emulation layer the startup probe did not see) routes this receiver
+  /// to single recv calls for good.
+  template <typename OnDatagram>
+  MCI_HOT void drain(int fd, std::uint64_t& syscalls, OnDatagram&& onDatagram) {
+    for (;;) {
+      const int n = fill(fd, syscalls);
+      if (n == 0) return;  // drained, or a transient error
+      for (int i = 0; i < n; ++i) {
+        const Datagram d = datagram(i);
+        if (!onDatagram(d.data, d.len)) return;
+      }
+    }
+  }
+
  private:
+  /// The next datagrams for drain(): one recvmmsg batch, or one recv into
+  /// slot 0 once fallen back (the refused recvmmsg counts too).
+  [[nodiscard]] MCI_HOT int fill(int fd, std::uint64_t& syscalls);
+
   std::vector<std::uint8_t> storage_;  ///< kBatch contiguous slots
   std::array<mmsghdr, kBatch> hdrs_{};
   std::array<iovec, kBatch> iovs_{};
+  bool fellBack_ = false;  ///< recvmmsg answered ENOSYS: recv from now on
 };
 
 }  // namespace mci::live

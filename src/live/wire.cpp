@@ -235,8 +235,8 @@ std::vector<std::uint8_t> encodeWelcome(const Welcome& m) {
   return w.finish();
 }
 
-std::optional<Welcome> decodeWelcome(const std::vector<std::uint8_t>& payload) {
-  report::BitReader r(payload);
+std::optional<Welcome> decodeWelcome(std::span<const std::uint8_t> payload) {
+  report::BitReader r(payload.data(), payload.size());
   Welcome m;
   if (r.read(8) != kWelcomeVersion) return std::nullopt;
   m.clientId = static_cast<std::uint32_t>(r.read(32));
@@ -308,8 +308,8 @@ std::vector<std::uint8_t> encodeDataItem(const DataItem& m) {
 }
 
 std::optional<DataItem> decodeDataItem(
-    const std::vector<std::uint8_t>& payload) {
-  report::BitReader r(payload);
+    std::span<const std::uint8_t> payload) {
+  report::BitReader r(payload.data(), payload.size());
   DataItem m;
   m.item = static_cast<db::ItemId>(r.read(32));
   m.version = static_cast<db::Version>(r.read(32));
@@ -366,8 +366,8 @@ std::vector<std::uint8_t> encodeCheckAck(const CheckAck& m) {
 }
 
 std::optional<CheckAck> decodeCheckAck(
-    const std::vector<std::uint8_t>& payload) {
-  report::BitReader r(payload);
+    std::span<const std::uint8_t> payload) {
+  report::BitReader r(payload.data(), payload.size());
   CheckAck m;
   m.epoch = r.read(64);
   m.asOf = bitsDouble(r.read(64));
@@ -386,8 +386,8 @@ std::vector<std::uint8_t> encodeValidityReply(const ValidityReplyMsg& m) {
 }
 
 std::optional<ValidityReplyMsg> decodeValidityReply(
-    const std::vector<std::uint8_t>& payload) {
-  report::BitReader r(payload);
+    std::span<const std::uint8_t> payload) {
+  report::BitReader r(payload.data(), payload.size());
   ValidityReplyMsg m;
   m.asOf = bitsDouble(r.read(64));
   m.epoch = r.read(64);
@@ -431,8 +431,8 @@ std::vector<std::uint8_t> encodeMapUpdate(const MapUpdate& m) {
 }
 
 std::optional<MapUpdate> decodeMapUpdate(
-    const std::vector<std::uint8_t>& payload, std::uint32_t minVersion) {
-  report::BitReader r(payload);
+    std::span<const std::uint8_t> payload, std::uint32_t minVersion) {
+  report::BitReader r(payload.data(), payload.size());
   MapUpdate m;
   auto map = ShardMap::decodeFrom(r, std::nullopt, minVersion);
   if (!map || !r.ok()) return std::nullopt;

@@ -273,7 +273,7 @@ struct HandoffAck {
 
 [[nodiscard]] std::vector<std::uint8_t> encodeWelcome(const Welcome& m);
 [[nodiscard]] std::optional<Welcome> decodeWelcome(
-    const std::vector<std::uint8_t>& payload);
+    std::span<const std::uint8_t> payload);
 
 [[nodiscard]] std::vector<std::uint8_t> encodeQueryRequest(
     const QueryRequest& m);
@@ -292,7 +292,7 @@ MCI_HOT void encodeQueryRequestInto(std::span<const db::ItemId> items,
 /// The server encodes every fetch reply straight into its send queue.
 MCI_HOT void encodeDataItemInto(const DataItem& m, report::BitWriter& w);
 [[nodiscard]] std::optional<DataItem> decodeDataItem(
-    const std::vector<std::uint8_t>& payload);
+    std::span<const std::uint8_t> payload);
 
 [[nodiscard]] std::vector<std::uint8_t> encodeCheck(const Check& m);
 /// Appends the Check payload to `w`; encodeCheck routes through this. The
@@ -306,12 +306,12 @@ MCI_HOT void encodeCheckInto(const Check& m, report::BitWriter& w);
 /// Appends the CheckAck payload to `w`; encodeCheckAck routes through this.
 MCI_HOT void encodeCheckAckInto(const CheckAck& m, report::BitWriter& w);
 [[nodiscard]] std::optional<CheckAck> decodeCheckAck(
-    const std::vector<std::uint8_t>& payload);
+    std::span<const std::uint8_t> payload);
 
 [[nodiscard]] std::vector<std::uint8_t> encodeValidityReply(
     const ValidityReplyMsg& m);
 [[nodiscard]] std::optional<ValidityReplyMsg> decodeValidityReply(
-    const std::vector<std::uint8_t>& payload);
+    std::span<const std::uint8_t> payload);
 
 [[nodiscard]] std::vector<std::uint8_t> encodeAudit(const Audit& m);
 [[nodiscard]] std::optional<Audit> decodeAudit(
@@ -324,7 +324,7 @@ void encodeMapUpdateInto(const MapUpdate& m, report::BitWriter& w);
 /// ShardMap::decodeFrom: an announce older than the installed epoch fails
 /// to decode at all.
 [[nodiscard]] std::optional<MapUpdate> decodeMapUpdate(
-    const std::vector<std::uint8_t>& payload, std::uint32_t minVersion = 0);
+    std::span<const std::uint8_t> payload, std::uint32_t minVersion = 0);
 
 [[nodiscard]] std::vector<std::uint8_t> encodeHandoff(const Handoff& m);
 void encodeHandoffInto(const Handoff& m, report::BitWriter& w);

@@ -1,10 +1,33 @@
 #include "runner/cli.hpp"
 
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <string_view>
 
 namespace mci::runner {
+namespace {
+
+/// The whole token as a decimal integer; nullopt for anything else
+/// ("", "1e3", "3x", "banana", out of range).
+std::optional<std::int64_t> parseInt(const std::string& s) {
+  char* end = nullptr;
+  errno = 0;
+  const long long v = std::strtoll(s.c_str(), &end, 10);
+  if (s.empty() || *end != '\0' || errno == ERANGE) return std::nullopt;
+  return v;
+}
+
+/// The whole token as a finite number; nullopt for anything else.
+std::optional<double> parseDouble(const std::string& s) {
+  char* end = nullptr;
+  const double v = std::strtod(s.c_str(), &end);
+  if (s.empty() || *end != '\0' || !std::isfinite(v)) return std::nullopt;
+  return v;
+}
+
+}  // namespace
 
 Cli::Cli(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
@@ -47,15 +70,18 @@ std::string Cli::getStr(const std::string& key,
 
 double Cli::getDouble(const std::string& key, double fallback) const {
   const Arg* a = findArg(key);
-  return (a == nullptr || a->value.empty()) ? fallback
-                                            : std::strtod(a->value.c_str(), nullptr);
+  if (a == nullptr) return fallback;
+  const std::optional<double> v = parseDouble(a->value);
+  a->malformed = !v;
+  return v.value_or(fallback);
 }
 
 std::int64_t Cli::getInt(const std::string& key, std::int64_t fallback) const {
   const Arg* a = findArg(key);
-  return (a == nullptr || a->value.empty())
-             ? fallback
-             : std::strtoll(a->value.c_str(), nullptr, 10);
+  if (a == nullptr) return fallback;
+  const std::optional<std::int64_t> v = parseInt(a->value);
+  a->malformed = !v;
+  return v.value_or(fallback);
 }
 
 std::optional<schemes::SchemeKind> Cli::getScheme(
@@ -79,21 +105,19 @@ std::optional<std::int64_t> Cli::getIntBounded(const std::string& key,
                                                std::int64_t max) const {
   const Arg* a = findArg(key);
   if (a == nullptr) return fallback;
-  char* end = nullptr;
-  const char* s = a->value.c_str();
-  const long long parsed = std::strtoll(s, &end, 10);
-  if (a->value.empty() || end == s || *end != '\0') {
+  const std::optional<std::int64_t> parsed = parseInt(a->value);
+  if (!parsed) {
     std::fprintf(stderr,
                  "bad --%s value '%s': expected an integer in [%lld, %lld]\n",
                  key.c_str(), a->value.c_str(), static_cast<long long>(min),
                  static_cast<long long>(max));
     return std::nullopt;
   }
-  if (parsed < min || parsed > max) {
+  if (*parsed < min || *parsed > max) {
     std::fprintf(stderr,
                  "out-of-range --%s value %lld: expected [%lld, %lld]\n",
-                 key.c_str(), parsed, static_cast<long long>(min),
-                 static_cast<long long>(max));
+                 key.c_str(), static_cast<long long>(*parsed),
+                 static_cast<long long>(min), static_cast<long long>(max));
     return std::nullopt;
   }
   return parsed;
@@ -108,11 +132,18 @@ std::vector<std::string> Cli::unknownArgs() const {
 }
 
 bool Cli::rejectUnknownArgs(const char* program) const {
-  const std::vector<std::string> unknown = unknownArgs();
-  for (const std::string& key : unknown) {
-    std::fprintf(stderr, "%s: unknown flag --%s\n", program, key.c_str());
+  bool rejected = false;
+  for (const Arg& a : args_) {
+    if (!a.consumed) {
+      std::fprintf(stderr, "%s: unknown flag --%s\n", program, a.key.c_str());
+      rejected = true;
+    } else if (a.malformed) {
+      std::fprintf(stderr, "%s: bad value for --%s: '%s'\n", program,
+                   a.key.c_str(), a.value.c_str());
+      rejected = true;
+    }
   }
-  return !unknown.empty();
+  return rejected;
 }
 
 }  // namespace mci::runner

@@ -9,10 +9,10 @@
 
 namespace mci::runner {
 
-/// Tiny argv parser for the bench/example binaries. Accepts
-/// `--key=value`, `--key value` and bare `--flag` forms; unknown keys are
-/// reported by unknownArgs() so binaries can warn instead of silently
-/// ignoring typos.
+/// Tiny argv parser for the daemons, bench and example binaries. Accepts
+/// `--key=value`, `--key value` and bare `--flag` forms; unknown keys and
+/// malformed numeric values are reported by rejectUnknownArgs() so a
+/// binary can refuse them instead of silently running a default.
 class Cli {
  public:
   Cli(int argc, char** argv);
@@ -20,6 +20,9 @@ class Cli {
   [[nodiscard]] bool has(const std::string& key) const;
   [[nodiscard]] std::string getStr(const std::string& key,
                                    const std::string& fallback) const;
+  /// Numeric values must be the whole token ("1e3" is not an integer,
+  /// "5x" not a number). A malformed value returns `fallback` and is
+  /// recorded for rejectUnknownArgs(), which reports it.
   [[nodiscard]] double getDouble(const std::string& key, double fallback) const;
   [[nodiscard]] std::int64_t getInt(const std::string& key,
                                     std::int64_t fallback) const;
@@ -45,8 +48,9 @@ class Cli {
   /// Keys the caller never queried (call after all getX calls).
   [[nodiscard]] std::vector<std::string> unknownArgs() const;
 
-  /// Prints each unknownArgs() key to stderr; true if any. The daemons exit
-  /// 2 on it: a mistyped flag must not run a default nobody asked for.
+  /// Prints each unknownArgs() key, and each malformed getInt/getDouble
+  /// value, to stderr; true if any. The daemons exit 2 on it: a mistyped
+  /// flag or value must not run a default nobody asked for.
   [[nodiscard]] bool rejectUnknownArgs(const char* program) const;
 
  private:
@@ -54,6 +58,7 @@ class Cli {
     std::string key;
     std::string value;
     mutable bool consumed = false;
+    mutable bool malformed = false;  ///< a numeric getter could not parse it
   };
   const Arg* findArg(const std::string& key) const;
   std::vector<Arg> args_;

@@ -14,7 +14,7 @@
 // welcomed, reports heard, zero stale reads, no connection lost.
 //
 // Key flags (runner::Cli syntax, --key value):
-//   --swarm-clients N   emulated population (default 100000)
+//   --swarm-clients N   emulated population (default 100000; at least E)
 //   --endpoints E       TCP endpoints per shard (default 4)
 //   --shards K          in-process cluster size (default 1)
 //   --scheme AFW|AAW    server scheme (adaptive only; default AAW)
@@ -377,10 +377,22 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  const auto clients =
-      static_cast<std::uint32_t>(cli.getInt("swarm-clients", 100000));
-  const auto endpoints = static_cast<std::uint32_t>(cli.getInt("endpoints", 4));
-  const auto shards = static_cast<std::uint32_t>(cli.getInt("shards", 1));
+  // Sizes that would otherwise truncate or stall: getIntBounded prints the
+  // accepted range for a malformed or out-of-range value.
+  const auto clientsArg =
+      cli.getIntBounded("swarm-clients", 100000, 1, 0xFFFFFFFF);
+  const auto endpointsArg = cli.getIntBounded("endpoints", 4, 1, 1024);
+  const auto shardsArg =
+      cli.getIntBounded("shards", 1, 1, live::ShardMap::kMaxShards);
+  const auto parityArg = cli.getIntBounded("parity-agents", 8, 0, 4096);
+  const auto growArg =
+      cli.getIntBounded("reshard-grow", 2, 1, live::ShardMap::kMaxShards - 1);
+  if (!clientsArg || !endpointsArg || !shardsArg || !parityArg || !growArg) {
+    return 2;
+  }
+  const auto clients = static_cast<std::uint32_t>(*clientsArg);
+  const auto endpoints = static_cast<std::uint32_t>(*endpointsArg);
+  const auto shards = static_cast<std::uint32_t>(*shardsArg);
   const double timeScale = cli.getDouble("timescale", 60.0);
   cfg.simTime = cli.getDouble("simtime", 600.0);
   cfg.numClients = clients;
@@ -396,8 +408,7 @@ int main(int argc, char** argv) {
   cfg.seed = static_cast<std::uint64_t>(cli.getInt("seed", 42));
   if (cli.has("hotcold")) cfg.workload = core::WorkloadKind::kHotCold;
   const double zipfTheta = cli.getDouble("zipf-theta", -1.0);
-  auto parityAgents =
-      static_cast<std::size_t>(cli.getInt("parity-agents", 8));
+  auto parityAgents = static_cast<std::size_t>(*parityArg);
   // Hit ratio is a function of per-client cache warmth (queries completed
   // per client), so the parity pool must run the SAME model horizon as the
   // swarm — a longer pool run would warm its caches further and the
@@ -406,9 +417,19 @@ int main(int argc, char** argv) {
   const std::string jsonPath = cli.getStr("json", "");
   ReshardPlan plan;
   plan.enabled = cli.has("reshard");
-  plan.growBy = static_cast<std::uint32_t>(cli.getInt("reshard-grow", 2));
+  plan.growBy = static_cast<std::uint32_t>(*growArg);
   plan.atFrac = cli.getDouble("reshard-at", 0.4);
   if (cli.rejectUnknownArgs("mci_swarm")) return 2;
+  if (clients < endpoints) {
+    // Each endpoint connection takes one client id from the server's
+    // population: with fewer clients the surplus dials are refused and the
+    // run could only end at the connect-stall guard.
+    std::fprintf(stderr,
+                 "mci_swarm: --swarm-clients (%u) must be at least "
+                 "--endpoints (%u)\n",
+                 clients, endpoints);
+    return 2;
+  }
 
   if (zipfTheta >= 0.0 && parityAgents > 0) {
     // The pool draws from the configured UNIFORM/HOTCOLD pattern; a Zipf

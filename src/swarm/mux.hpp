@@ -12,6 +12,7 @@
 #include "db/item.hpp"
 #include "live/reactor.hpp"
 #include "live/shard_map.hpp"
+#include "live/stream_conn.hpp"
 #include "live/udp_batch.hpp"
 #include "live/wire.hpp"
 #include "report/codec.hpp"
@@ -219,7 +220,9 @@ class UplinkMux {
 
   /// One TCP endpoint of one shard.
   struct Conn {
-    int fd = -1;
+    /// The endpoint's stream; its queue collects the tick's checks, then
+    /// its fetch batches. stream.fd == -1 once closed.
+    live::StreamConn stream;
     std::uint32_t shard = kUnknownShard;
     std::uint32_t endpoint = 0;
     bool welcomed = false;
@@ -227,12 +230,7 @@ class UplinkMux {
     /// queues drain (in-flight replies are grace-served by the retiring
     /// daemon). Never counted as a lost connection.
     bool draining = false;
-    live::Reactor::FdHandle reg;  ///< reactor registration of fd
-    live::wire::FrameBuffer in;
-    /// Queued frames, then the unsent tail; high-water capacity.
-    std::vector<std::uint8_t> out;
-    std::size_t outOff = 0;
-    bool wantWrite = false;
+    live::Reactor::FdHandle reg;  ///< reactor registration of stream.fd
     Ring<PendingFetch> fetchQueue;   ///< kDataItem correlation, FIFO
     Ring<std::uint32_t> ackQueue;    ///< kCheckAck correlation, FIFO
     std::vector<db::ItemId> staged;  ///< this tick's fetch items, in order
@@ -250,10 +248,15 @@ class UplinkMux {
                                                std::uint32_t endpoint,
                                                std::uint32_t ipv4,
                                                std::uint16_t tcpPort);
-  [[nodiscard]] static int openDownlinkUdp(std::uint32_t ipv4,
-                                           std::uint32_t mcastIpv4,
-                                           std::uint16_t mcastPort);
-  [[nodiscard]] static std::uint16_t boundPort(int fd);
+  /// A shard's Link with its downlink open and registered.
+  [[nodiscard]] std::unique_ptr<Link> openLink(std::uint32_t shard,
+                                               const live::ShardEndpoint& ep);
+  void openDownlink(Link& link, const live::ShardEndpoint& ep);
+  void closeDownlink(Link& link);
+  /// Dials link's endpoints from conns.size() up to `count` and queues a
+  /// Hello on each.
+  void dialEndpoints(Link& link, const live::ShardEndpoint& ep,
+                     std::uint32_t count);
   void sendHello(Conn& conn, std::uint16_t udpPort);
   void buildCluster(const live::wire::Welcome& w);
 
@@ -276,9 +279,13 @@ class UplinkMux {
   /// Closes a draining conn once both correlation queues are empty.
   void maybeCloseDrained(Conn& conn);
 
-  /// Sends conn.out until done or EAGAIN; a refused tail arms EPOLLOUT,
-  /// whose event calls this again. Every uplink send goes through here.
+  /// Flushes conn's stream (one send unless the kernel refuses a tail;
+  /// EPOLLOUT then calls this again). Every uplink send goes through here.
   MCI_HOT void flushOut(Conn& conn);
+  /// Unregisters and closes an open conn, quietly.
+  void closeConn(Conn& conn);
+  /// closeConn, counted as a lost connection unless shutting down or
+  /// draining.
   void dropConn(Conn& conn);
   void closeAll();
 
@@ -303,7 +310,6 @@ class UplinkMux {
   bool sawWelcome_ = false;
 
   live::UdpBatchReceiver udpReceiver_;
-  bool udpRecvFellBack_ = false;
   MuxStats stats_;
 };
 

@@ -153,6 +153,48 @@ TEST(LiveLoopback, ReportFramesAreByteIdenticalToCodecOutput) {
   }
 }
 
+/// The agent corks its uplink like the server corks replies: the audits
+/// for a query's cached hits and the query for its misses are queued and
+/// leave together when the report handler finishes, so the agents make
+/// fewer send calls than they send frames.
+TEST(LiveLoopback, AgentUplinkIsCorkedPerHandler) {
+  core::SimConfig cfg = baseConfig(schemes::SchemeKind::kAaw);
+  cfg.meanItemsPerQuery = 8.0;  // several hits per answer, most with a miss
+  cfg.simTime = 1000.0;
+  Reactor reactor;
+  ServerOptions serverOpts;
+  serverOpts.cfg = cfg;
+  serverOpts.timeScale = 500.0;
+  BroadcastServer server(reactor, serverOpts);
+
+  AgentOptions agentOpts;
+  agentOpts.cfg = cfg;
+  agentOpts.port = server.tcpPort();
+  agentOpts.numAgents = cfg.numClients;  // audits go to the server
+  ClientPool pool(reactor, agentOpts);
+  pool.start();
+  const Reactor::TimerHandle tick = reactor.addTimer(0.02, 0.02, [&] {
+    if (pool.modelNow() >= cfg.simTime) {
+      pool.shutdown();
+      reactor.stop();
+    }
+  });
+  reactor.run();
+  (void)reactor.cancelTimer(tick);
+
+  const ServerStats& s = server.stats();
+  EXPECT_EQ(pool.stats().connectionsLost, 0u);
+  EXPECT_EQ(server.staleReads(), 0u);
+  ASSERT_GT(s.auditsReceived, 0u);
+  ASSERT_GT(s.queryRequests, 0u);
+  const std::uint64_t frames = s.auditsReceived + s.queryRequests +
+                               s.checksReceived + 2 * cfg.numClients;
+  EXPECT_GT(pool.stats().tcpSendCalls, 0u);
+  EXPECT_LT(pool.stats().tcpSendCalls, frames)
+      << "audits=" << s.auditsReceived << " queries=" << s.queryRequests
+      << " checks=" << s.checksReceived;
+}
+
 /// A client that stops reading must never stall the broadcast: its TCP
 /// queue caps out and whole frames are dropped (counted) while the IR timer
 /// keeps firing.

@@ -2,10 +2,17 @@
 
 #include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <linux/filter.h>
+#include <linux/seccomp.h>
 #include <netinet/in.h>
+#include <sys/prctl.h>
 #include <sys/socket.h>
+#include <sys/syscall.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
+#include <cerrno>
+#include <cstddef>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -120,6 +127,105 @@ TEST(UdpBatchReceiver, TransientErrorIsNotReportedAsFallback) {
   bool fellBack = false;
   EXPECT_EQ(rx.receive(-1, fellBack), 0);  // EBADF
   EXPECT_FALSE(fellBack);
+}
+
+/// drain() into a string list; `syscalls` accumulates across calls.
+std::vector<std::string> drainPayloads(UdpBatchReceiver& rx, int fd,
+                                       std::uint64_t& syscalls) {
+  std::vector<std::string> out;
+  rx.drain(fd, syscalls, [&out](const std::uint8_t* data, std::size_t len) {
+    out.emplace_back(reinterpret_cast<const char*>(data), len);
+    return true;
+  });
+  return out;
+}
+
+TEST(UdpBatchReceiver, DrainCountsOneSyscallPerBatch) {
+  if (!UdpBatchSender::available()) GTEST_SKIP() << "no sendmmsg/recvmmsg";
+  BoundSocket rxSock;
+  BoundSocket txSock;
+  const int total = 20;  // one full batch of 16, then 4, then the empty call
+  for (int i = 0; i < total; ++i) {
+    sendOne(txSock.fd, rxSock.addr, "datagram-" + std::to_string(i));
+  }
+  UdpBatchReceiver rx;
+  std::uint64_t syscalls = 0;
+  const std::vector<std::string> got = drainPayloads(rx, rxSock.fd, syscalls);
+  ASSERT_EQ(got.size(), static_cast<std::size_t>(total));
+  for (int i = 0; i < total; ++i) {
+    EXPECT_EQ(got[static_cast<std::size_t>(i)],
+              "datagram-" + std::to_string(i));
+  }
+  EXPECT_EQ(syscalls, 3u);
+}
+
+TEST(UdpBatchReceiver, DrainStopsWhenTheHandlerSaysSo) {
+  if (!UdpBatchSender::available()) GTEST_SKIP() << "no sendmmsg/recvmmsg";
+  BoundSocket rxSock;
+  BoundSocket txSock;
+  for (int i = 0; i < 3; ++i) sendOne(txSock.fd, rxSock.addr, "x");
+  UdpBatchReceiver rx;
+  std::uint64_t syscalls = 0;
+  int seen = 0;
+  rx.drain(rxSock.fd, syscalls, [&seen](const std::uint8_t*, std::size_t) {
+    ++seen;
+    return false;
+  });
+  EXPECT_EQ(seen, 1);
+  EXPECT_EQ(syscalls, 1u);
+}
+
+/// Child-process body of the fallback test: returns 0 on success, 77 when
+/// the kernel will not install the filter, another code per failed check.
+int runDrainUnderRecvmmsgEnosys() {
+  // recvmmsg answers ENOSYS from here on, exactly what a seccomp profile
+  // or emulation layer that the startup probe raced would do.
+  sock_filter filter[] = {
+      BPF_STMT(BPF_LD | BPF_W | BPF_ABS, offsetof(seccomp_data, nr)),
+      BPF_JUMP(BPF_JMP | BPF_JEQ | BPF_K, __NR_recvmmsg, 0, 1),
+      BPF_STMT(BPF_RET | BPF_K,
+               SECCOMP_RET_ERRNO | (ENOSYS & SECCOMP_RET_DATA)),
+      BPF_STMT(BPF_RET | BPF_K, SECCOMP_RET_ALLOW),
+  };
+  sock_fprog prog{};
+  prog.len = sizeof filter / sizeof filter[0];
+  prog.filter = filter;
+  if (::prctl(PR_SET_NO_NEW_PRIVS, 1, 0, 0, 0) != 0 ||
+      ::prctl(PR_SET_SECCOMP, SECCOMP_MODE_FILTER, &prog) != 0) {
+    return 77;
+  }
+  BoundSocket rxSock;
+  BoundSocket txSock;
+  UdpBatchReceiver rx;
+  std::uint64_t syscalls = 0;
+  for (const char* p : {"a", "bb", "ccc"}) sendOne(txSock.fd, rxSock.addr, p);
+  // The refused recvmmsg, three recvs, and the recv that finds it empty.
+  if (drainPayloads(rx, rxSock.fd, syscalls) !=
+      std::vector<std::string>{"a", "bb", "ccc"}) {
+    return 1;
+  }
+  if (syscalls != 5) return 2;
+  // Sticky: the next drain goes straight to recv, with no recvmmsg first.
+  for (const char* p : {"d", "e"}) sendOne(txSock.fd, rxSock.addr, p);
+  if (drainPayloads(rx, rxSock.fd, syscalls) !=
+      std::vector<std::string>{"d", "e"}) {
+    return 3;
+  }
+  if (syscalls != 5 + 3) return 4;
+  return 0;
+}
+
+TEST(UdpBatchReceiver, DrainFallsBackStickilyOnEnosys) {
+  if (!UdpBatchSender::available()) GTEST_SKIP() << "no sendmmsg/recvmmsg";
+  // The filter cannot be removed once installed, so it goes on a child.
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) ::_exit(runDrainUnderRecvmmsgEnosys());
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status));
+  if (WEXITSTATUS(status) == 77) GTEST_SKIP() << "seccomp filters refused";
+  EXPECT_EQ(WEXITSTATUS(status), 0) << "failed check in the child";
 }
 
 TEST(UdpBatchSender, FanOutAboveBatchSplitsIntoMinimalSyscalls) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <string>
 
 namespace mci::runner {
 namespace {
@@ -116,6 +117,51 @@ TEST(Cli, GetIntBoundedRejectsOutOfRangeValues) {
       makeCli({"--shard-index=-1"}).getIntBounded("shard-index", 0, 0, 3));
   EXPECT_EQ(makeCli({"--shards=1024"}).getIntBounded("shards", 1, 1, 1024),
             1024);
+}
+
+TEST(Cli, NumericGettersParseTheWholeToken) {
+  auto cli = makeCli({"--dbsize=1000", "--period=2.5", "--gap=-3",
+                      "--scale=1e3"});
+  EXPECT_EQ(cli.getInt("dbsize", 0), 1000);
+  EXPECT_DOUBLE_EQ(cli.getDouble("period", 0), 2.5);
+  EXPECT_EQ(cli.getInt("gap", 0), -3);
+  EXPECT_DOUBLE_EQ(cli.getDouble("scale", 0), 1000.0);  // a real number
+  EXPECT_FALSE(cli.rejectUnknownArgs("prog"));
+}
+
+TEST(Cli, MalformedIntegersFallBackAndAreRejected) {
+  // Each of these used to parse as a prefix ("1e3" -> 1, "2e4" -> 2) or as
+  // 0 ("banana"); now the fallback comes back and the value is recorded.
+  for (const char* bad : {"1e3", "2e4", "banana", "3x", "", "1.5",
+                          "99999999999999999999"}) {
+    auto cli = makeCli({"--seed", bad});
+    EXPECT_EQ(cli.getInt("seed", 42), 42) << bad;
+    EXPECT_TRUE(cli.unknownArgs().empty()) << bad;  // known, just malformed
+    EXPECT_TRUE(cli.rejectUnknownArgs("prog")) << bad;
+  }
+}
+
+TEST(Cli, MalformedDoublesFallBackAndAreRejected) {
+  for (const char* bad : {"fast", "2.5s", "", "nan", "inf"}) {
+    auto cli = makeCli({"--timescale", bad});
+    EXPECT_DOUBLE_EQ(cli.getDouble("timescale", 1.0), 1.0) << bad;
+    EXPECT_TRUE(cli.rejectUnknownArgs("prog")) << bad;
+  }
+}
+
+TEST(Cli, RejectUnknownArgsNamesTheBadValue) {
+  auto cli = makeCli({"--clients", "banana", "--seed=7"});
+  (void)cli.getInt("clients", 8);
+  EXPECT_EQ(cli.getInt("seed", 0), 7);
+  testing::internal::CaptureStderr();
+  EXPECT_TRUE(cli.rejectUnknownArgs("mci_live_server"));
+  const std::string err = testing::internal::GetCapturedStderr();
+  EXPECT_EQ(err, "mci_live_server: bad value for --clients: 'banana'\n");
+}
+
+TEST(Cli, GetIntBoundedRejectsScientificNotation) {
+  EXPECT_FALSE(makeCli({"--swarm-clients=2e4"})
+                   .getIntBounded("swarm-clients", 100000, 1, 1 << 30));
 }
 
 }  // namespace

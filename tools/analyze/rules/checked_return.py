@@ -29,7 +29,9 @@ WATCHED: List[Tuple[str, Optional[str]]] = [
     ("sendFrame", "BroadcastServer"),
     ("sendEncoded", "BroadcastServer"),
     ("commitFrame", "BroadcastServer"),
-    ("sendFrame", "ClientAgent"),
+    ("flushConn", "BroadcastServer"),
+    ("flush", "StreamConn"),
+    ("read", "StreamConn"),
     ("next", "FrameBuffer"),
     ("cancel", "EventQueue"),
     ("cancelTimer", "Reactor"),
